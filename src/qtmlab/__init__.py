@@ -78,7 +78,6 @@ from .analysis import (
 from .squap import (
     SquapConfig,
     SquapRun,
-    accuracy_bound_check,
     run_impractical_squap,
     run_practical_squap,
     self_funding_check,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FloatArray, MechanismParams, ValueProfile, as_probs, as_vector
-from .equilibrium import votes_from_aggregate
+from .equilibrium import _stationarity_votes
 from .synthetic import commit
 
 __all__ = [
@@ -182,7 +182,7 @@ class ManipulatorContext:
         commitment = commit(self.profile.aggregates, bhat, self.params)
         p = commitment.p.p
         v_i = self.profile.values[self.agent]
-        own = votes_from_aggregate(v_i[None, :], p, self.params)[0]
+        own = _stationarity_votes(p, v_i, self.params.c)
         return float(p @ v_i) - self.params.c * float(own @ own)
 
 
@@ -235,6 +235,20 @@ def _coordinate_search(
     return x, best, converged
 
 
+def _manipulator_search(
+    objective, truth: FloatArray, maxv: float, rng: np.random.Generator | None
+) -> tuple[FloatArray, bool]:
+    """Best of five coordinate searches around the truth: from it, then from four random starts."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    best_x, best_f, best_conv = truth.copy(), objective(truth), True
+    for s in range(5):
+        start = truth.copy() if s == 0 else truth + rng.uniform(-maxv, maxv, size=truth.size)
+        x, fval, conv = _coordinate_search(objective, start, truth, 10.0 * maxv)
+        if fval > best_f:
+            best_x, best_f, best_conv = x, fval, conv
+    return best_x, best_conv
+
+
 @dataclass(frozen=True, eq=False)
 class EfficientMarketRun:
     """Market simulation output: final state, elicited estimates, flags."""
@@ -271,19 +285,10 @@ def simulate_efficient_market(
     if manipulator is None:
         return EfficientMarketRun(state=state, bhat=state.final.copy(), manipulated=False, converged=True)
 
-    maxv = manipulator.profile.max_value
-
     def objective(bh: FloatArray) -> float:
         return expected_score(bh, truth, beta) + manipulator.qtm_stage_utility(bh)
 
-    rng = np.random.default_rng(0) if rng is None else rng
-    radius = 10.0 * maxv
-    best_x, best_f, best_conv = truth.copy(), objective(truth), True
-    for s in range(5):
-        start = truth.copy() if s == 0 else truth + rng.uniform(-maxv, maxv, size=truth.size)
-        x, fval, conv = _coordinate_search(objective, start, truth, radius)
-        if fval > best_f:
-            best_x, best_f, best_conv = x, fval, conv
+    best_x, best_conv = _manipulator_search(objective, truth, manipulator.profile.max_value, rng)
     state.report(best_x)
     return EfficientMarketRun(state=state, bhat=best_x.copy(), manipulated=True, converged=best_conv)
 
@@ -345,15 +350,7 @@ def optimize_wager_report(
         bhat = (others_sum + report) / n
         return own + manipulator.qtm_stage_utility(bhat)
 
-    maxv = manipulator.profile.max_value
-    rng = np.random.default_rng(0) if rng is None else rng
-    best_x, best_f, best_conv = truth.copy(), objective(truth), True
-    for s in range(5):
-        start = truth.copy() if s == 0 else truth + rng.uniform(-maxv, maxv, size=truth.size)
-        x, fval, conv = _coordinate_search(objective, start, truth, 10.0 * maxv)
-        if fval > best_f:
-            best_x, best_f, best_conv = x, fval, conv
-    return best_x, best_conv
+    return _manipulator_search(objective, truth, manipulator.profile.max_value, rng)
 
 
 def _market_score_changes(state: MarketState, model: OutcomeModel) -> FloatArray:

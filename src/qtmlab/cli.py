@@ -118,9 +118,16 @@ class UsageError(Exception):
     pass
 
 
-def _resolve_path(base: Path, value: str) -> Path:
-    p = Path(value)
-    return p if p.is_absolute() else base / p
+def _load_instance(base: Path, value: str):
+    """load_instance on a path relative to the config's directory, errors as UsageError."""
+    try:
+        return load_instance(base / value)
+    except FileNotFoundError as exc:
+        raise UsageError(f"instance not found: {exc.filename}")
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"malformed JSON in instance at byte {exc.pos}: {exc.msg}")
+    except (ValueError, KeyError) as exc:
+        raise UsageError(f"invalid instance: {exc}")
 
 
 def _params_from(config: dict, profile: ValueProfile) -> MechanismParams:
@@ -148,14 +155,7 @@ def cmd_generate(config: dict, seed: int, out: Path, base: Path) -> int:
 def cmd_solve(config: dict, seed: int, out: Path, base: Path, mode: str) -> int:
     if "instance" not in config:
         raise UsageError("solve config needs an 'instance' path")
-    try:
-        profile, external = load_instance(_resolve_path(base, config["instance"]))
-    except FileNotFoundError as exc:
-        raise UsageError(f"instance not found: {exc.filename}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON in instance at byte {exc.pos}: {exc.msg}")
-    except (ValueError, KeyError) as exc:
-        raise UsageError(f"invalid instance: {exc}")
+    profile, external = _load_instance(base, config["instance"])
 
     params = _params_from(config, profile)
     tol = float(config.get("tol", 1e-10))
@@ -290,14 +290,7 @@ def cmd_sweep(config: dict, seed: int, out: Path, base: Path, jobs: int) -> int:
 def cmd_squap(config: dict, seed: int, out: Path, base: Path) -> int:
     if "instance" not in config or "B" not in config:
         raise UsageError("squap config needs 'instance' and 'B'")
-    try:
-        profile, _ = load_instance(_resolve_path(base, config["instance"]))
-    except FileNotFoundError as exc:
-        raise UsageError(f"instance not found: {exc.filename}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON in instance at byte {exc.pos}: {exc.msg}")
-    except (ValueError, KeyError) as exc:
-        raise UsageError(f"invalid instance: {exc}")
+    profile, _ = _load_instance(base, config["instance"])
 
     try:
         base_config = SquapConfig(

@@ -118,11 +118,6 @@ class ValueProfile:
         """Permutation putting aggregates in nonincreasing order, ties by index."""
         return np.argsort(-self.aggregates, kind="stable")
 
-    def reordered(self, order=None) -> "ValueProfile":
-        """Copy with columns permuted (canonical order by default)."""
-        order = self.canonical_order if order is None else np.asarray(order)
-        return ValueProfile(self.values[:, order])
-
 
 @dataclass(frozen=True)
 class MechanismParams:
@@ -320,6 +315,8 @@ def load_instance(source: str | Path) -> tuple[ValueProfile, ExternalWelfare | N
         )
     profile = ValueProfile(values)
     external = ExternalWelfare(np.asarray(doc["B"], dtype=np.float64)) if "B" in doc else None
+    if external is not None and external.B.size != profile.m:
+        raise ValueError(f"B has length {external.B.size}, but m = {profile.m}")
     return profile, external
 
 

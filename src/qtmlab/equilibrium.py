@@ -40,6 +40,7 @@ __all__ = [
     "solve_two_alt",
     "solve_foc_fixed_point",
     "solve_foc_multistart",
+    "solve_aggregate",
     "votes_from_aggregate",
     "best_response",
     "foc_residual",
@@ -86,6 +87,8 @@ def solve_two_alt(v1: float, v2: float, params: MechanismParams, tol: float = 1e
         )
 
     def g(a: float) -> float:
+        if a > 700.0:  # exp(a) overflows past 709.78; the second term is already 0
+            return a
         s = math.exp(a) + math.exp(-a)
         return a - dv / (2.0 * c * s * s)
 
@@ -113,9 +116,13 @@ def solve_two_alt(v1: float, v2: float, params: MechanismParams, tol: float = 1e
     )
 
 
+def _stationarity_votes(p: FloatArray, values: FloatArray, c: float) -> FloatArray:
+    """(p_k / 2c)(v_k - E_p v) for one value vector, or for each row of a matrix."""
+    return p / (2.0 * c) * (values - (values @ p)[..., None])
+
+
 def _foc_map(aggregates: FloatArray, totals: FloatArray, c: float) -> FloatArray:
-    p = softmax_probs(aggregates)
-    return p / (2.0 * c) * (totals - float(p @ totals))
+    return _stationarity_votes(softmax_probs(aggregates), totals, c)
 
 
 def solve_foc_fixed_point(
@@ -185,14 +192,32 @@ def solve_foc_multistart(
     return found
 
 
+def solve_aggregate(totals, params: MechanismParams, tol: float = 1e-10) -> AggregateSolution:
+    """Aggregate stationarity solution for totals in any column order.
+
+    Two alternatives are bisected in nonincreasing order (ties keep index
+    order) and permuted back; more use the damped fixed point from zero.
+    """
+    V = as_vector(totals)
+    if V.size != 2:
+        return solve_foc_fixed_point(V, params, tol=min(tol, 1e-12))
+    order = [0, 1] if V[0] >= V[1] else [1, 0]  # a swap is its own inverse
+    sub = solve_two_alt(float(V[order[0]]), float(V[order[1]]), params, tol=min(tol, 1e-13))
+    return AggregateSolution(
+        aggregates=sub.aggregates[order],
+        p=sub.p[order],
+        residual=sub.residual,
+        iterations=sub.iterations,
+        status=sub.status,
+    )
+
+
 def votes_from_aggregate(values, p, params: MechanismParams) -> FloatArray:
     """Stationarity votes a_k^i = (p_k / 2c)(v_k^i - E_p v^i); rows sum to zero."""
-    v = as_matrix(values)
     probs = np.asarray(p, dtype=np.float64)
     if np.any(probs <= 0):
         raise ValueError("p must be strictly positive")
-    ev = v @ probs
-    return probs[None, :] / (2.0 * params.c) * (v - ev[:, None])
+    return _stationarity_votes(probs, as_matrix(values), params.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +227,6 @@ class BestResponse:
     votes: FloatArray
     objective: float
     grad_norm: float
-    on_boundary: bool
     heuristic: bool
 
 
@@ -260,16 +284,14 @@ def best_response(opponent_aggregate, v_i, params: MechanismParams, tol: float =
     r = math.sqrt(float(v.max()) / c)
     if r == 0.0:
         zero = np.zeros(v.size)
-        return BestResponse(zero, _own_objective(zero, opp, v, c), 0.0, False, False)
+        return BestResponse(zero, _own_objective(zero, opp, v, c), 0.0, False)
 
     concave = c >= 0.5 * float(v.max())
     if concave:
         # Damped stationarity iteration is a cheap near-exact warm start here.
         a = np.zeros(v.size)
         for _ in range(80):
-            p = softmax_probs(opp + a)
-            target = p / (2.0 * c) * (v - float(p @ v))
-            nxt = 0.5 * a + 0.5 * target
+            nxt = 0.5 * a + 0.5 * _stationarity_votes(softmax_probs(opp + a), v, c)
             if np.max(np.abs(nxt - a)) <= 0.01 * tol:
                 a = nxt
                 break
@@ -293,7 +315,6 @@ def best_response(opponent_aggregate, v_i, params: MechanismParams, tol: float =
         votes=a,
         objective=_own_objective(a, opp, v, c),
         grad_norm=_projected_grad_norm(a, g, r),
-        on_boundary=bool(np.any(np.abs(a) >= r * (1.0 - 1e-12))),
         heuristic=heuristic,
     )
 
@@ -302,16 +323,11 @@ def foc_residual(votes, values, params: MechanismParams) -> float:
     """Max-norm violation of both stationarity equations at a vote profile."""
     a = as_matrix(votes)
     v = as_matrix(values)
-    c = params.c
     A = a.sum(axis=0)
     p = softmax_probs(A)
-    ev = v @ p
-    agent_target = p[None, :] / (2.0 * c) * (v - ev[:, None])
-    V = v.sum(axis=0)
-    agg_target = p / (2.0 * c) * (V - float(p @ V))
     return max(
-        float(np.max(np.abs(a - agent_target))),
-        float(np.max(np.abs(A - agg_target))),
+        float(np.max(np.abs(a - _stationarity_votes(p, v, params.c)))),
+        float(np.max(np.abs(A - _stationarity_votes(p, v.sum(axis=0), params.c)))),
     )
 
 
@@ -397,26 +413,12 @@ def solve_instance(
 ) -> EquilibriumSolution:
     """Solve one instance to a certified equilibrium (focal fixed point).
 
-    Two alternatives use the bisection specialization; more use the damped
-    fixed-point iteration from zero. Votes are reconstructed from the solved
-    aggregate and re-verified against both stationarity equations.
+    The aggregate comes from solve_aggregate (bisection for two alternatives,
+    the damped fixed-point iteration from zero for more). Votes are
+    reconstructed from the solved aggregate and re-verified against both
+    stationarity equations.
     """
-    V = profile.aggregates
-    if profile.m == 2:
-        order = profile.canonical_order
-        sub = solve_two_alt(float(V[order[0]]), float(V[order[1]]), params, tol=min(tol, 1e-13))
-        aggregates = np.empty(2)
-        aggregates[order[0]] = sub.aggregates[0]
-        aggregates[order[1]] = sub.aggregates[1]
-        agg = AggregateSolution(
-            aggregates=aggregates,
-            p=softmax_probs(aggregates),
-            residual=sub.residual,
-            iterations=sub.iterations,
-            status=sub.status,
-        )
-    else:
-        agg = solve_foc_fixed_point(V, params, tol=min(tol, 1e-12))
+    agg = solve_aggregate(profile.aggregates, params, tol)
     return _solution_from_aggregates(profile, params, agg, with_br, tol)
 
 

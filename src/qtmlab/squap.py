@@ -29,7 +29,7 @@ from .aggregation import (
     wagering_aggregate,
     wagering_payoffs,
 )
-from .analysis import MARGIN_TOL, BoundReport, bound_squap
+from .analysis import BoundReport, bound_squap
 from .core import FloatArray, MechanismParams, ValueProfile, as_vector
 from .qtm import PaymentReport
 from .synthetic import commit, focal_votes, run_impractical, solve_practical_two_alt
@@ -40,7 +40,6 @@ __all__ = [
     "StageError",
     "run_impractical_squap",
     "run_practical_squap",
-    "accuracy_bound_check",
     "SelfFundingReport",
     "self_funding_check",
 ]
@@ -218,8 +217,10 @@ def _settle_aggregation(state: MarketState | WagerState, chosen: int, p: FloatAr
     return wagering_payoffs(state, chosen, p, bstar)
 
 
-def run_impractical_squap(profile: ValueProfile, B, config: SquapConfig) -> SquapRun:
-    """Aggregation, committed decision stage at the elicited estimates, settlement."""
+def _run_squap(profile: ValueProfile, B, config: SquapConfig, practical: bool) -> SquapRun:
+    """One combined run; the practical variant swaps in the submitted-votes fixed point for p."""
+    if practical and profile.m != 2:
+        raise StageError("decision", "practical fixed point is two-alternative only")
     truth = as_vector(B)
     if truth.size != profile.m:
         raise StageError("setup", "B and the profile disagree on m")
@@ -232,9 +233,12 @@ def run_impractical_squap(profile: ValueProfile, B, config: SquapConfig) -> Squa
         commitment = commit(profile.aggregates, bhat, params)
         votes = focal_votes(commitment, profile.values, params)
         outcome = run_impractical(commitment, votes, params, redistribute=config.redistribute)
+        p = outcome.p.p
+        if practical:
+            p1 = solve_practical_two_alt(votes.sum(axis=0), bhat, params)
+            p = np.array([p1, 1.0 - p1])
     except (RuntimeError, ValueError) as exc:
         raise StageError("decision", str(exc)) from exc
-    p = outcome.p.p
 
     chosen = int(rng.choice(truth.size, p=p))
     model = config.outcome_model(truth)
@@ -249,17 +253,23 @@ def run_impractical_squap(profile: ValueProfile, B, config: SquapConfig) -> Squa
     maxv = profile.max_value
     spread = w1 / maxv
 
-    bounds = [
-        BoundReport.lower("squap_welfare", bound_squap(spread, alpha), ratio),
-        BoundReport.upper("bhat_accuracy", alpha * maxv, float(np.max(np.abs(bhat - truth)))),
-        BoundReport.upper(
-            "alt_independence_spread",
-            ALT_INDEPENDENCE_TOL,
-            alternative_independence_check(state, model, weighted=True),
-        ),
-    ]
+    accuracy = BoundReport.upper("bhat_accuracy", alpha * maxv, float(np.max(np.abs(bhat - truth))))
+    if practical:
+        bounds = [accuracy]
+        flags["uncertified"] = "practical variant is measured, not certified"
+    else:
+        bounds = [
+            BoundReport.lower("squap_welfare", bound_squap(spread, alpha), ratio),
+            accuracy,
+            BoundReport.upper(
+                "alt_independence_spread",
+                ALT_INDEPENDENCE_TOL,
+                alternative_independence_check(state, model, weighted=True),
+            ),
+        ]
     certified = (
-        not config.redistribute
+        not practical
+        and not config.redistribute
         and all(b.satisfied for b in bounds if b.applicable)
         and flags.get("manipulatorConverged", True)
     )
@@ -279,10 +289,15 @@ def run_impractical_squap(profile: ValueProfile, B, config: SquapConfig) -> Squa
         max_value=maxv,
         bounds=bounds,
         certified=certified,
-        practical=False,
+        practical=practical,
         flags=flags,
         transcript=transcript,
     )
+
+
+def run_impractical_squap(profile: ValueProfile, B, config: SquapConfig) -> SquapRun:
+    """Aggregation, committed decision stage at the elicited estimates, settlement."""
+    return _run_squap(profile, B, config, practical=False)
 
 
 def run_practical_squap(profile: ValueProfile, B, config: SquapConfig) -> SquapRun:
@@ -291,64 +306,7 @@ def run_practical_squap(profile: ValueProfile, B, config: SquapConfig) -> SquapR
     Used only as the empirical harness for the practical-variant conjecture;
     never certified.
     """
-    if profile.m != 2:
-        raise StageError("decision", "practical fixed point is two-alternative only")
-    truth = as_vector(B)
-    params, beta, alpha = _resolve_params(profile, config)
-    rng = np.random.default_rng(config.seed)
-
-    state, bhat, flags = _aggregation_stage(profile, truth, beta, params, config, rng)
-
-    try:
-        commitment = commit(profile.aggregates, bhat, params)
-        votes = focal_votes(commitment, profile.values, params)
-        sums = votes.sum(axis=0)
-        p1 = solve_practical_two_alt(sums, bhat, params)
-        outcome = run_impractical(commitment, votes, params, redistribute=config.redistribute)
-    except (RuntimeError, ValueError) as exc:
-        raise StageError("decision", str(exc)) from exc
-    p = np.array([p1, 1.0 - p1])
-
-    chosen = int(rng.choice(2, p=p))
-    model = config.outcome_model(truth)
-    bstar = model.sample(chosen, rng)
-    payoffs = _settle_aggregation(state, chosen, p, bstar)
-    transcript = settlement_transcript(state, chosen, p, bstar)
-
-    totals = profile.aggregates + truth
-    w1 = float(totals.max())
-    welfare = float(p @ totals)
-    maxv = profile.max_value
-    bounds = [
-        BoundReport.upper("bhat_accuracy", alpha * maxv, float(np.max(np.abs(bhat - truth)))),
-    ]
-    flags = dict(flags)
-    flags["uncertified"] = "practical variant is measured, not certified"
-    return SquapRun(
-        config=config,
-        B=truth,
-        bhat=np.asarray(bhat, dtype=float),
-        decision=p,
-        chosen=chosen,
-        bstar=bstar,
-        payments=outcome.payments,
-        aggregation_payoffs=payoffs,
-        welfare=welfare,
-        welfare_ratio=welfare / w1,
-        spread=w1 / maxv,
-        alpha=alpha,
-        max_value=maxv,
-        bounds=bounds,
-        certified=False,
-        practical=True,
-        flags=flags,
-        transcript=transcript,
-    )
-
-
-def accuracy_bound_check(run: SquapRun, alpha: float, x: float) -> bool:
-    """Whether the run's elicited estimates stayed within alpha * x of the truth."""
-    return bool(np.max(np.abs(run.bhat - run.B)) <= alpha * x + MARGIN_TOL)
+    return _run_squap(profile, B, config, practical=True)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,8 @@ votes first and is measured, not certified.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,9 +27,9 @@ from .core import (
 from .equilibrium import (
     CONVERGED,
     EquilibriumSolution,
-    solve_foc_fixed_point,
+    _stationarity_votes,
+    solve_aggregate,
     solve_instance,
-    solve_two_alt,
     votes_from_aggregate,
 )
 from .qtm import PaymentReport, settle, softmax_probs
@@ -56,39 +54,6 @@ class SyntheticCommitment:
     a_mech: FloatArray
     p: SoftmaxOutcome
 
-    def to_doc(self, totals: FloatArray | None = None, params: MechanismParams | None = None) -> dict:
-        doc: dict = {
-            "schemaVersion": 1,
-            "A": self.aggregates.tolist(),
-            "aMech": self.a_mech.tolist(),
-            "p": self.p.p.tolist(),
-        }
-        if totals is not None:
-            doc["W"] = np.asarray(totals, dtype=float).tolist()
-        if params is not None:
-            doc["params"] = {"c": params.c}
-        return doc
-
-    def write_json(self, path: str | Path, totals=None, params: MechanismParams | None = None) -> None:
-        Path(path).write_text(json.dumps(self.to_doc(totals, params), sort_keys=True, indent=2) + "\n")
-
-
-def _solve_welfare_aggregate(W: FloatArray, params: MechanismParams, tol: float):
-    """Aggregate stationarity solution for arbitrary (unsorted) welfare totals."""
-    if W.size == 2:
-        hi, lo = (0, 1) if W[0] >= W[1] else (1, 0)
-        sub = solve_two_alt(float(W[hi]), float(W[lo]), params, tol=min(tol, 1e-13))
-        aggregates = np.empty(2)
-        aggregates[hi] = sub.aggregates[0]
-        aggregates[lo] = sub.aggregates[1]
-        status = sub.status
-    else:
-        sol = solve_foc_fixed_point(W, params, tol=tol)
-        aggregates, status = sol.aggregates, sol.status
-    if status != CONVERGED:
-        raise RuntimeError(f"aggregate fixed point did not converge (status {status})")
-    return aggregates
-
 
 def commit(
     totals,
@@ -109,11 +74,11 @@ def commit(
     if V.size != bh.size:
         raise ValueError("totals and bhat disagree on m")
     eff_params = params if response_factor else MechanismParams(0.5)
-    W = V + bh
-    aggregates = _solve_welfare_aggregate(W, eff_params, tol)
-    p = softmax_probs(aggregates)
-    a_mech = p / (2.0 * eff_params.c) * (bh - float(p @ bh))
-    return SyntheticCommitment(aggregates=aggregates, a_mech=a_mech, p=SoftmaxOutcome(p))
+    sol = solve_aggregate(V + bh, eff_params, tol)
+    if sol.status != CONVERGED:
+        raise RuntimeError(f"aggregate fixed point did not converge (status {sol.status})")
+    a_mech = _stationarity_votes(sol.p, bh, eff_params.c)
+    return SyntheticCommitment(aggregates=sol.aggregates, a_mech=a_mech, p=SoftmaxOutcome(sol.p))
 
 
 def focal_votes(commitment: SyntheticCommitment, values, params: MechanismParams) -> FloatArray:
@@ -187,8 +152,8 @@ def solve_practical_two_alt(
         return _clamp_unit(p1)
 
     lo, hi = 1e-15, 1.0 - 1e-15
-    res_lo = lo - step(lo)
-    assert res_lo < 0 < hi - step(hi), "fixed-point residual must bracket a root"
+    if not lo - step(lo) < 0 < hi - step(hi):
+        raise RuntimeError("practical fixed-point residual does not bracket a root")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid - step(mid) > 0:

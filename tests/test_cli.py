@@ -58,6 +58,13 @@ def test_solve_malformed_instance(tmp_path, capsys):
     assert "byte" in capsys.readouterr().err
 
 
+def test_solve_rejects_b_of_wrong_length(tmp_path, capsys):
+    inst = _write(tmp_path / "inst.json", {"n": 2, "m": 2, "values": [[1.0, 0.0], [0.0, 1.0]], "B": [1.0, 0.0, 2.0]})
+    cfg = _write(tmp_path / "solve.json", {"instance": inst})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "invalid instance" in capsys.readouterr().err
+
+
 def test_solve_deterministic_bytes(tmp_path, instance_path):
     cfg = _write(tmp_path / "solve.json", {"instance": str(instance_path)})
     outs = []

@@ -7,9 +7,11 @@ from qtmlab.core import MechanismParams, ValueProfile
 from qtmlab.equilibrium import (
     CONVERGED,
     MAX_ITERATIONS,
+    _stationarity_votes,
     best_response,
     best_response_dynamics,
     foc_residual,
+    solve_aggregate,
     solve_foc_fixed_point,
     solve_foc_multistart,
     solve_instance,
@@ -292,3 +294,50 @@ def test_foc_residual_zero_at_solution():
     params = MechanismParams.half_max(prof)
     eq = solve_instance(prof, params, with_br=False)
     assert foc_residual(eq.votes.votes, prof.values, params) < 1e-10
+
+
+def test_two_alt_huge_gap_does_not_overflow():
+    sol = solve_two_alt(6000.0, 0.0, HALF)
+    assert sol.status == CONVERGED
+    assert sol.residual <= 1e-12
+    assert np.all(np.isfinite(sol.aggregates)) and sol.p[0] > sol.p[1] > 0
+
+
+def test_solve_instance_unanimous_large_profile():
+    prof = ValueProfile(np.tile([1.0, 0.0], (6000, 1)))
+    sol = solve_instance(prof, HALF, with_br=False)
+    assert sol.status == CONVERGED
+    assert sol.foc_residual <= 1e-10
+
+
+def test_stationarity_votes_bitwise_forms():
+    # One helper serves both forms. Each must reproduce its written-out
+    # formula bit for bit, and a single row must give the same bits as a
+    # one-row matrix. A many-row matrix may differ from per-row calls in the
+    # last bit, because BLAS sums matrix-vector products in another order.
+    rng = np.random.default_rng(11)
+    c = 0.7
+    for m in (2, 3, 5, 12):
+        v = rng.uniform(0, 3, size=(7, m))
+        p = softmax_probs(rng.normal(size=m))
+        ev = v @ p
+        assert np.array_equal(_stationarity_votes(p, v, c), p[None, :] / (2.0 * c) * (v - ev[:, None]))
+        for row in v:
+            vec = _stationarity_votes(p, row, c)
+            assert np.array_equal(vec, p / (2.0 * c) * (row - float(p @ row)))
+            assert np.array_equal(vec, _stationarity_votes(p, row[None, :], c)[0])
+
+
+@pytest.mark.parametrize("totals", [[3.0, 1.25], [0.4, 2.0], [1.5, 1.5]])
+def test_solve_aggregate_swapped_columns_bitwise(totals):
+    sol = solve_aggregate(np.array(totals), HALF)
+    swapped = solve_aggregate(np.array(totals[::-1]), HALF)
+    assert np.array_equal(swapped.aggregates, sol.aggregates[::-1])
+    assert np.array_equal(swapped.p, sol.p[::-1])
+    assert (swapped.residual, swapped.iterations, swapped.status) == (sol.residual, sol.iterations, sol.status)
+    # The root is bisected on the nonincreasing pair; ties keep index order.
+    hi, lo = sorted(totals, reverse=True)
+    sub = solve_two_alt(hi, lo, HALF, tol=1e-13)
+    first = int(totals[1] > totals[0])
+    assert sol.aggregates[first] == sub.aggregates[0]
+    assert sol.p[first] == sub.p[0]

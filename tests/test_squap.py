@@ -10,7 +10,6 @@ from qtmlab.qtm import softmax_probs
 from qtmlab.squap import (
     SquapConfig,
     StageError,
-    accuracy_bound_check,
     run_impractical_squap,
     run_practical_squap,
     self_funding_check,
@@ -55,16 +54,23 @@ def test_wagering_run_same_bound_form():
     assert run.certified
 
 
+def _accuracy_report(run):
+    (report,) = [b for b in run.bounds if b.name == "bhat_accuracy"]
+    return report
+
+
 def test_accuracy_bound_check():
     prof = _spread_profile(30.0, seed=7)
     B = np.array([1.0, 0.4])
     truthful = run_impractical_squap(prof, B, SquapConfig(seed=1))
     assert np.max(np.abs(truthful.bhat - B)) == 0.0
-    assert accuracy_bound_check(truthful, alpha=0.0, x=prof.max_value)
+    assert _accuracy_report(truthful).satisfied
 
     cfg = SquapConfig(epsilon=0.25, seed=1, manipulator=0)
     run = run_impractical_squap(prof, B, cfg)
-    assert accuracy_bound_check(run, alpha=0.5, x=prof.max_value)
+    report = _accuracy_report(run)
+    assert report.value == 0.5 * prof.max_value
+    assert report.satisfied
 
 
 def test_accuracy_bound_adversarial_seeds():
@@ -77,7 +83,9 @@ def test_accuracy_bound_adversarial_seeds():
         prof = ValueProfile(vals)
         cfg = SquapConfig(epsilon=0.25, seed=seed, manipulator=0)
         run = run_impractical_squap(prof, B, cfg)
-        assert accuracy_bound_check(run, alpha=math.sqrt(0.25), x=prof.max_value)
+        report = _accuracy_report(run)
+        assert report.value == 0.5 * prof.max_value
+        assert report.satisfied
 
 
 def test_self_funding_prior_at_truth_always_feasible():
@@ -209,6 +217,11 @@ def test_stage_errors_are_tagged():
     prof = _spread_profile(10.0, seed=25)
     with pytest.raises(StageError) as err:
         run_impractical_squap(prof, np.array([1.0, 2.0, 3.0]), SquapConfig(seed=1))
+    assert "stage setup" in str(err.value)
+    # Both runners share the setup check, so a manipulated practical run
+    # fails tagged too instead of raising from inside the aggregation stage.
+    with pytest.raises(StageError) as err:
+        run_practical_squap(prof, np.array([1.0, 2.0, 3.0]), SquapConfig(seed=1, manipulator=0))
     assert "stage setup" in str(err.value)
 
 

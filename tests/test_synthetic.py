@@ -58,6 +58,14 @@ def test_commit_handles_reversed_welfare_order():
     assert cmt.aggregates[1] > 0 > cmt.aggregates[0]
 
 
+def test_commit_huge_welfare_gap():
+    # A welfare gap of 1e6 c once overflowed math.exp in the bisection.
+    cmt = commit([0.0, 0.0], [0.5e6, 0.0], HALF)
+    assert np.all(np.isfinite(cmt.a_mech))
+    assert cmt.p.p[0] > cmt.p.p[1] > 0.0
+    assert abs(cmt.a_mech.sum()) < 1e-9
+
+
 def test_commit_no_factor_reading():
     # The factor-free reading coincides with the factored one at c = 1/2 and
     # differs elsewhere.
@@ -132,6 +140,12 @@ def test_practical_matches_commit_at_zero_agent_votes():
     cmt = commit([0.0, 0.0], [10.0, 0.0], HALF)
     assert p1 == pytest.approx(cmt.p.p[0], abs=1e-10)
     assert p1 == pytest.approx(0.885, abs=1e-3)
+
+
+def test_practical_unbracketed_residual_raises():
+    # Raised, not asserted, so the check also holds under python -O.
+    with pytest.raises(RuntimeError, match="bracket"):
+        solve_practical_two_alt([-38.0, 0.0], [1e17, 0.0], MechanismParams(1.0))
 
 
 def test_practical_grid_scan_oracle():
