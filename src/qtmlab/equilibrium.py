@@ -230,45 +230,125 @@ class BestResponse:
     heuristic: bool
 
 
-def _own_objective(a: FloatArray, opp: FloatArray, v: FloatArray, c: float) -> float:
-    p = softmax_probs(opp + a)
-    return float(p @ v) - c * float(a @ a)
+# Starts per row below the concavity threshold: zero, then uniform draws on the box.
+_STARTS = 5
 
 
-def _own_grad(a: FloatArray, opp: FloatArray, v: FloatArray, c: float) -> FloatArray:
-    p = softmax_probs(opp + a)
-    return p * (v - float(p @ v)) - 2.0 * c * a
+def _row_softmax(x: FloatArray) -> FloatArray:
+    if not np.all(np.isfinite(x)):
+        raise ValueError("softmax input must be finite")
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
-def _projected_grad_norm(a: FloatArray, g: FloatArray, r: float) -> float:
-    pg = g.copy()
-    pg[(a >= r) & (g > 0)] = 0.0
-    pg[(a <= -r) & (g < 0)] = 0.0
-    return float(np.max(np.abs(pg)))
+def _row_objective(a: FloatArray, opp: FloatArray, v: FloatArray, c: float) -> FloatArray:
+    """Each row's p-weighted value minus its quadratic charge, p = softmax(opp + a)."""
+    p = _row_softmax(opp + a)
+    return (p * v).sum(axis=1) - c * (a * a).sum(axis=1)
 
 
-def _pga(a0: FloatArray, opp: FloatArray, v: FloatArray, c: float, r: float, tol: float, max_iter: int) -> FloatArray:
-    """Projected gradient ascent with Armijo backtracking on the vote box."""
-    a = np.clip(a0, -r, r)
-    base_step = 1.0 / (2.0 * c)
-    for _ in range(max_iter):
-        g = _own_grad(a, opp, v, c)
-        if _projected_grad_norm(a, g, r) <= tol:
+def _row_grad(a: FloatArray, opp: FloatArray, v: FloatArray, c: float) -> FloatArray:
+    p = _row_softmax(opp + a)
+    return p * (v - (p * v).sum(axis=1, keepdims=True)) - 2.0 * c * a
+
+
+def _row_pg_norm(a: FloatArray, g: FloatArray, r: FloatArray) -> FloatArray:
+    """Max-norm of each row's gradient, less the components pushing out of [-r, r]."""
+    blocked = ((a >= r) & (g > 0)) | ((a <= -r) & (g < 0))
+    return np.where(blocked, 0.0, np.abs(g)).max(axis=1)
+
+
+def _row_warm_start(rows: np.ndarray, opp: FloatArray, v: FloatArray, c: float, tol: float) -> FloatArray:
+    """Damped stationarity iteration a <- a/2 + (p/4c)(v - E_p v) from zero, at most 80 sweeps.
+
+    Row j faces opp[rows[j]] with values v[rows[j]]. The step is a + g/4c with
+    g the own gradient. A row freezes once a step moves it by at most 0.01 tol.
+    """
+    a = np.zeros((rows.size, v.shape[1]))
+    live = np.arange(rows.size)
+    for _ in range(80):
+        if live.size == 0:
             break
-        f0 = _own_objective(a, opp, v, c)
-        step = base_step
-        while True:
-            cand = np.clip(a + step * g, -r, r)
-            if _own_objective(cand, opp, v, c) >= f0 + 1e-4 * float(g @ (cand - a)):
-                break
-            step *= 0.5
-            if step < 1e-18:
-                cand = a
-                break
-        if np.array_equal(cand, a):
-            break
-        a = cand
+        x, src = a[live], rows[live]
+        nxt = x + _row_grad(x, opp[src], v[src], c) / (4.0 * c)
+        a[live] = nxt
+        live = live[np.max(np.abs(nxt - x), axis=1) > 0.01 * tol]
     return a
+
+
+def _row_pga(
+    a: FloatArray, rows: np.ndarray, opp: FloatArray, v: FloatArray, c: float, r: FloatArray, tol: float, max_iter: int
+) -> None:
+    """Projected gradient ascent with Armijo backtracking on each row of a, in place.
+
+    Row j faces opp[rows[j]] with values v[rows[j]] on the box [-r, r] of
+    r[rows[j]]. Rows step in lockstep but stop on their own: at a
+    projected-gradient norm of at most tol, on a step that leaves the row
+    unmoved, or after max_iter iterations. Backtracking halves the step from
+    1/2c and gives up (the row stays put) below 1e-18.
+    """
+    box = r[rows]
+    np.clip(a, -box, box, out=a)
+    live = np.arange(rows.size)
+    for _ in range(max_iter):
+        src = rows[live]
+        x, o, w, b = a[live], opp[src], v[src], r[src]
+        g = _row_grad(x, o, w, c)
+        keep = _row_pg_norm(x, g, b) > tol
+        if not keep.all():
+            live, x, o, w, b, g = live[keep], x[keep], o[keep], w[keep], b[keep], g[keep]
+        if live.size == 0:
+            break
+        # Every row starts at the same step and halves it on each rejection,
+        # so the rows still backtracking share one step.
+        f0 = _row_objective(x, o, w, c)
+        cand = x.copy()
+        todo, step = np.arange(live.size), 1.0 / (2.0 * c)
+        while todo.size and step >= 1e-18:
+            xt, gt, bt = x[todo], g[todo], b[todo]
+            trial = np.clip(xt + step * gt, -bt, bt)
+            ok = _row_objective(trial, o[todo], w[todo], c) >= f0[todo] + 1e-4 * (gt * (trial - xt)).sum(axis=1)
+            cand[todo[ok]] = trial[ok]
+            todo = todo[~ok]
+            step *= 0.5
+        moved = np.any(cand != x, axis=1)
+        a[live[moved]] = cand[moved]
+        live = live[moved]
+
+
+def _best_responses(
+    opp: FloatArray, v: FloatArray, c: float, tol: float = 1e-9, max_iter: int = 500
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
+    """Best responses of k independent rows, row i facing opponent totals opp[i] with values v[i].
+
+    Returns the votes, objective, projected-gradient norm and heuristic flag
+    of each row. Concave rows (c at least half the row's top value) are
+    warm-started by the damped stationarity iteration and polished; rows below
+    the threshold keep the best of _STARTS polished starts and are flagged
+    heuristic; rows with an all-zero value vector keep the zero response.
+    """
+    k, m = v.shape
+    vmax = v.max(axis=1)
+    r = np.sqrt(vmax / c)[:, None]
+    heuristic = c < 0.5 * vmax
+    concave = np.flatnonzero(~heuristic & (vmax > 0.0))
+    multi = np.flatnonzero(heuristic)
+    rows = np.concatenate([concave, np.repeat(multi, _STARTS)])
+    a0 = np.zeros((rows.size, m))
+    a0[: concave.size] = _row_warm_start(concave, opp, v, c, tol)
+    # The same draws for every row: the search reseeds default_rng(0) per agent.
+    draws = np.random.default_rng(0).random((_STARTS - 1, m))
+    rm = r[multi, None]
+    a0[concave.size :].reshape(multi.size, _STARTS, m)[:, 1:] = -rm + (2.0 * rm) * draws
+    _row_pga(a0, rows, opp, v, c, r, tol, max_iter)
+    a = np.zeros((k, m))
+    a[concave] = a0[: concave.size]
+    tried, tried_rows = a0[concave.size :], rows[concave.size :]
+    best = _row_objective(tried, opp[tried_rows], v[tried_rows], c).reshape(multi.size, _STARTS).argmax(axis=1)
+    a[multi] = tried.reshape(multi.size, _STARTS, m)[np.arange(multi.size), best]
+    return a, _row_objective(a, opp, v, c), _row_pg_norm(a, _row_grad(a, opp, v, c), r), heuristic
 
 
 def best_response(opponent_aggregate, v_i, params: MechanismParams, tol: float = 1e-9, max_iter: int = 500) -> BestResponse:
@@ -277,46 +357,12 @@ def best_response(opponent_aggregate, v_i, params: MechanismParams, tol: float =
     In the strictly concave regime (c at least half the agent's top value) the
     optimum is interior and certified by the gradient norm. Below it, the
     search is restarted from several points and the result flagged heuristic.
+    This is the one-row case of the batched search that certification runs.
     """
-    opp = as_vector(opponent_aggregate)
-    v = as_vector(v_i)
-    c = params.c
-    r = math.sqrt(float(v.max()) / c)
-    if r == 0.0:
-        zero = np.zeros(v.size)
-        return BestResponse(zero, _own_objective(zero, opp, v, c), 0.0, False)
-
-    concave = c >= 0.5 * float(v.max())
-    if concave:
-        # Damped stationarity iteration is a cheap near-exact warm start here.
-        a = np.zeros(v.size)
-        for _ in range(80):
-            nxt = 0.5 * a + 0.5 * _stationarity_votes(softmax_probs(opp + a), v, c)
-            if np.max(np.abs(nxt - a)) <= 0.01 * tol:
-                a = nxt
-                break
-            a = nxt
-        a = _pga(a, opp, v, c, r, tol, max_iter)
-        heuristic = False
-    else:
-        rng = np.random.default_rng(0)
-        starts = [np.zeros(v.size)] + [rng.uniform(-r, r, size=v.size) for _ in range(4)]
-        best = None
-        for s in starts:
-            cand = _pga(s, opp, v, c, r, tol, max_iter)
-            val = _own_objective(cand, opp, v, c)
-            if best is None or val > best[0]:
-                best = (val, cand)
-        a = best[1]
-        heuristic = True
-
-    g = _own_grad(a, opp, v, c)
-    return BestResponse(
-        votes=a,
-        objective=_own_objective(a, opp, v, c),
-        grad_norm=_projected_grad_norm(a, g, r),
-        heuristic=heuristic,
-    )
+    opp = as_vector(opponent_aggregate)[None]
+    v = as_vector(v_i)[None]
+    a, objective, grad_norm, heuristic = _best_responses(opp, v, params.c, tol, max_iter)
+    return BestResponse(a[0], float(objective[0]), float(grad_norm[0]), bool(heuristic[0]))
 
 
 def foc_residual(votes, values, params: MechanismParams) -> float:
@@ -336,21 +382,15 @@ def verify_equilibrium(votes, values, params: MechanismParams, tol: float = 1e-8
 
     Both at or below tol certifies the profile as an equilibrium at that
     tolerance. The slack is the largest utility improvement any agent's
-    best-response search can find; the redistribution term cancels in it.
+    best-response search can find, with all agents searched in one batched
+    pass; the redistribution term cancels in it.
     """
     a = as_matrix(votes)
     v = as_matrix(values)
-    c = params.c
-    A = a.sum(axis=0)
-    residual = foc_residual(a, v, params)
-
-    br_slack = -math.inf
-    for i in range(a.shape[0]):
-        opp = A - a[i]
-        br = best_response(opp, v[i], params)
-        slack = br.objective - _own_objective(a[i], opp, v[i], c)
-        br_slack = max(br_slack, slack)
-    return residual, br_slack
+    opp = a.sum(axis=0) - a
+    _, best, _, _ = _best_responses(opp, v, params.c)
+    slack = float(np.max(best - _row_objective(a, opp, v, params.c)))
+    return foc_residual(a, v, params), slack
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,6 +403,7 @@ class EquilibriumSolution:
     foc_residual: float
     br_slack: float
     status: str
+    iterations: int  # of the aggregate solve; a diagnostic kept out of to_doc
 
     def to_doc(self, seed: int | None = None, params: MechanismParams | None = None) -> dict:
         doc: dict = {
@@ -402,6 +443,7 @@ def _solution_from_aggregates(
         foc_residual=residual,
         br_slack=br_slack,
         status=status,
+        iterations=agg.iterations,
     )
 
 

@@ -237,7 +237,7 @@ def _run_squap(profile: ValueProfile, B, config: SquapConfig, practical: bool) -
         if practical:
             p1 = solve_practical_two_alt(votes.sum(axis=0), bhat, params)
             p = np.array([p1, 1.0 - p1])
-    except (RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
         raise StageError("decision", str(exc)) from exc
 
     chosen = int(rng.choice(truth.size, p=p))

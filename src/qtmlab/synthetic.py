@@ -122,8 +122,8 @@ def solve_practical_two_alt(
     """Selection probability of alternative 1 in the practical two-alternative variant.
 
     Solves p1 = sigma(S1 - S2 + p1 (1 - p1)(Bhat_1 - Bhat_2) / c) by damped
-    iteration with a bisection fallback; the residual has opposite signs at the
-    endpoints for any finite inputs.
+    iteration with a bisection fallback on the log-odds of p1, whose bracket
+    holds every root for any finite inputs.
 
     Replacing the p1 (1 - p1) product with a fixed constant would turn this
     into a closed-form rule, but that variant admits equilibria where the
@@ -151,18 +151,22 @@ def solve_practical_two_alt(
     if abs(p1 - step(p1)) <= tol:
         return _clamp_unit(p1)
 
-    lo, hi = 1e-15, 1.0 - 1e-15
-    if not lo - step(lo) < 0 < hi - step(hi):
-        raise RuntimeError("practical fixed-point residual does not bracket a root")
+    # Bisect on the log-odds x of p1: x = ds + sigma(x) sigma(-x) db / c, and
+    # sigma(x) sigma(-x) <= 1/4 brackets every root in [ds - |db|/4c, ds + |db|/4c].
+    # sigma(-x) keeps 1 - p1 accurate where p1 rounds to within 1e-15 of 1.
+    half_width = abs(db) / (4.0 * c)
+    lo, hi = ds - half_width, ds + half_width
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise RuntimeError("practical fixed-point bracket is not finite")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid - step(mid) > 0:
+        if mid - ds - _sigmoid(mid) * _sigmoid(-mid) * db / c > 0:
             hi = mid
         else:
             lo = mid
         if hi - lo <= tol:
             break
-    return _clamp_unit(0.5 * (lo + hi))
+    return _clamp_unit(_sigmoid(0.5 * (lo + hi)))
 
 
 def _sigmoid(z: float) -> float:

@@ -168,6 +168,7 @@ def test_certify_with_external_uses_welfare_gap():
         foc_residual=0.0,
         br_slack=0.0,
         status="converged",
+        iterations=0,
     )
     reports = certify_instance(eq, prof, params, external=ext)
     by_name = {r.name: r for r in reports}

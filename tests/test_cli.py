@@ -257,6 +257,17 @@ def test_squap_practical_on_three_alternatives_is_solver_failure(tmp_path, capsy
     assert "stage decision" in capsys.readouterr().err
 
 
+def test_squap_arithmetic_error_in_decision_is_solver_failure(tmp_path, capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr("qtmlab.squap.commit", overflow)
+    inst, _ = _squap_instance(tmp_path)
+    cfg = _write(tmp_path / "squap.json", {"instance": str(inst), "B": [1.0, 0.25]})
+    assert main(["squap", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SOLVER
+    assert "stage decision" in capsys.readouterr().err
+
+
 def test_invalid_c_is_usage_error(tmp_path, instance_path, capsys):
     cfg = _write(tmp_path / "solve.json", {"instance": str(instance_path), "c": -2.0})
     assert main(["solve", "--config", cfg]) == EXIT_USAGE

@@ -167,6 +167,15 @@ def test_verify_solved_instance():
     assert eq.br_slack <= 1e-6
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_solution_carries_aggregate_iterations(m):
+    prof = ValueProfile(np.random.default_rng(8).uniform(0, 1, size=(6, m)))
+    params = MechanismParams.half_max(prof)
+    eq = solve_instance(prof, params, with_br=False)
+    assert eq.iterations == solve_aggregate(prof.aggregates, params).iterations > 0
+    assert "iterations" not in eq.to_doc(seed=1, params=params)
+
+
 def test_verify_detects_perturbation():
     rng = np.random.default_rng(6)
     prof = ValueProfile(rng.uniform(0, 1, size=(5, 2)))

@@ -142,10 +142,13 @@ def test_practical_matches_commit_at_zero_agent_votes():
     assert p1 == pytest.approx(0.885, abs=1e-3)
 
 
-def test_practical_unbracketed_residual_raises():
-    # Raised, not asserted, so the check also holds under python -O.
-    with pytest.raises(RuntimeError, match="bracket"):
-        solve_practical_two_alt([-38.0, 0.0], [1e17, 0.0], MechanismParams(1.0))
+def test_practical_root_near_one_is_found():
+    # The root lies near 1 - 7e-16, outside [1e-15, 1 - 1e-15]; the log-odds
+    # bracket still holds it, so the fallback returns a fixed point.
+    p1 = solve_practical_two_alt([-38.0, 0.0], [1e17, 0.0], MechanismParams(1.0))
+    z = -38.0 + p1 * (1.0 - p1) * 1e17
+    assert abs(p1 - 1.0 / (1.0 + math.exp(-z))) <= 1e-12
+    assert p1 >= 1.0 - 1e-15
 
 
 def test_practical_grid_scan_oracle():
