@@ -2,7 +2,8 @@
 
 Every command is driven by a JSON config plus a seed and emits JSON/CSV only;
 identical config and seed reproduce identical bytes. Exit codes: 0 certified,
-1 ran but uncertified, 2 usage or parse error, 3 solver failure.
+1 ran but uncertified, 2 usage or parse error, 3 solver failure, which
+includes any unexpected exception (reported on one line, never as a traceback).
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def _sweep_row(args: tuple) -> dict:
             b.satisfied for b in reports if b.applicable
         )
     except Exception as exc:  # per-row failures recorded, sweep continues
-        row["status"] = f"error: {exc}"
+        row["status"] = f"error: {type(exc).__name__}: {exc}"
         row["certified"] = False
     return row
 
@@ -380,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # exit 1 means "ran but uncertified"; a crash must not read as that
+        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ The stationarity system characterizing equilibrium is
 
 with p = softmax(A). For two alternatives the aggregate system collapses to a
 single monotone root-finding problem solved by bisection on a guaranteed
-bracket; for m > 2 a damped fixed-point iteration is used, optionally from
-many starts to detect multiple equilibria. Certification reports both the
+bracket; for m > 2 a damped fixed-point iteration runs until its steps
+contract (or 2-cycle) and a safeguarded Newton polish, gated to points where
+the Newton matrix is positive definite, finishes it, optionally from many
+starts to detect multiple equilibria. Certification reports both the
 stationarity residual and the slack found by explicit best-response search.
 """
 
@@ -30,7 +32,7 @@ from .core import (
     as_matrix,
     as_vector,
 )
-from .qtm import softmax_probs
+from .qtm import _hessian_matrix, softmax_probs
 
 __all__ = [
     "AggregateSolution",
@@ -121,8 +123,39 @@ def _stationarity_votes(p: FloatArray, values: FloatArray, c: float) -> FloatArr
     return p / (2.0 * c) * (values - (values @ p)[..., None])
 
 
-def _foc_map(aggregates: FloatArray, totals: FloatArray, c: float) -> FloatArray:
-    return _stationarity_votes(softmax_probs(aggregates), totals, c)
+# Newton finish of the m > 2 fixed point (see solve_foc_fixed_point).
+_NEWTON_DISTANCE = 0.1
+_NEWTON_AFTER = 200
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-6
+
+
+def _newton_step(
+    A: FloatArray, p: FloatArray, R: FloatArray, residual: float, V: FloatArray, c: float
+) -> tuple[FloatArray, FloatArray, FloatArray] | None:
+    """Safeguarded Newton step on R(A) = A - F(A): the new (A, p, F), or None.
+
+    The Newton matrix M = I - H/2c, with H the Hessian of p . V, is minus the
+    Hessian of G(A) = p . V - c |A|^2 over 2c. The step is taken only where M
+    is positive definite, near a local maximum of G and never at a saddle,
+    and only if backtracking (Armijo factor _ARMIJO, halving the step down
+    to _MIN_STEP) finds a sufficient decrease of the max-norm residual.
+    """
+    M = _hessian_matrix(p, V, c) / (-2.0 * c)
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return None
+    delta = np.linalg.solve(M, R)
+    t = 1.0
+    while t >= _MIN_STEP:
+        trial = A - t * delta
+        p_t = softmax_probs(trial)
+        F_t = _stationarity_votes(p_t, V, c)
+        if float(np.max(np.abs(trial - F_t))) <= (1.0 - _ARMIJO * t) * residual:
+            return trial, p_t, F_t
+        t *= 0.5
+    return None
 
 
 def solve_foc_fixed_point(
@@ -133,8 +166,14 @@ def solve_foc_fixed_point(
     tol: float = 1e-10,
     init=None,
 ) -> AggregateSolution:
-    """Damped iteration A <- (1 - damping) A + damping F(A) on the aggregate system.
+    """Damped iteration A <- (1 - damping) A + damping F(A), finished by Newton.
 
+    The damped step at damping 1/2 is A + grad G / 4c, a gradient ascent on
+    G(A) = p . V - c |A|^2. Once its residuals contract to within
+    _NEWTON_DISTANCE of the fixed point (a-posteriori), or after
+    _NEWTON_AFTER steps (a 2-cycle), each iteration tries a safeguarded
+    Newton step on A - F(A) and keeps taking them while they are accepted;
+    a rejected one falls back to the damped step. iterations counts both.
     F always sums to zero, so the returned aggregates do too (up to rounding).
     Non-convergence is reported in the status, never silently.
     """
@@ -143,15 +182,26 @@ def solve_foc_fixed_point(
     V = as_vector(totals)
     c = params.c
     A = np.zeros(V.size) if init is None else as_vector(init).copy()
+    p = softmax_probs(A)
+    F = _stationarity_votes(p, V, c)
     residual = math.inf
+    newton = False
     it = 0
     for it in range(1, max_iter + 1):
-        F = _foc_map(A, V, c)
-        residual = float(np.max(np.abs(A - F)))
+        R = A - F
+        prev, residual = residual, float(np.max(np.abs(R)))
         if residual <= tol:
             A = F
             break
-        A = (1.0 - damping) * A + damping * F
+        contracted = residual < prev < math.inf and residual * residual <= _NEWTON_DISTANCE * (prev - residual)
+        step = _newton_step(A, p, R, residual, V, c) if newton or contracted or it > _NEWTON_AFTER else None
+        newton = step is not None
+        if newton:
+            A, p, F = step
+        else:
+            A = (1.0 - damping) * A + damping * F
+            p = softmax_probs(A)
+            F = _stationarity_votes(p, V, c)
     status = CONVERGED if residual <= tol else MAX_ITERATIONS
     return AggregateSolution(
         aggregates=A,
@@ -196,7 +246,7 @@ def solve_aggregate(totals, params: MechanismParams, tol: float = 1e-10) -> Aggr
     """Aggregate stationarity solution for totals in any column order.
 
     Two alternatives are bisected in nonincreasing order (ties keep index
-    order) and permuted back; more use the damped fixed point from zero.
+    order) and permuted back; more use the fixed point from zero.
     """
     V = as_vector(totals)
     if V.size != 2:
@@ -456,7 +506,7 @@ def solve_instance(
     """Solve one instance to a certified equilibrium (focal fixed point).
 
     The aggregate comes from solve_aggregate (bisection for two alternatives,
-    the damped fixed-point iteration from zero for more). Votes are
+    the Newton-finished fixed point from zero for more). Votes are
     reconstructed from the solved aggregate and re-verified against both
     stationarity equations.
     """

@@ -121,22 +121,28 @@ class HessianReport:
     negative_definite: bool
 
 
+def _hessian_matrix(p: FloatArray, v: FloatArray, c: float) -> FloatArray:
+    """Hessian of p . v - c |A|^2 in A at p = softmax(A), for one value vector v.
+
+    Diagonal: p_k (2 p_k - 1)(E_p v - v_k) - 2c; off-diagonal:
+    p_k p_l (2 E_p v - v_k - v_l).
+    """
+    ev = float(p @ v)
+    h = np.outer(p, p) * (2.0 * ev - v[:, None] - v[None, :])
+    h[np.diag_indices_from(h)] = p * (2.0 * p - 1.0) * (ev - v) - 2.0 * c
+    return h
+
+
 def hessian(i: int, votes, values, params: MechanismParams) -> HessianReport:
     """Closed-form Hessian of agent i's utility in their own votes.
 
-    Diagonal: p_k (2 p_k - 1)(E_p v - v_k) - 2c; off-diagonal:
-    p_k p_l (2 E_p v - v_k - v_l). These are c times the scaled-utility forms,
+    The own votes enter only through A, so this is _hessian_matrix at agent
+    i's values. The entries are c times the scaled-utility forms,
     so definiteness conclusions are unchanged and finite differences of the
     utility itself reproduce the entries.
     """
     a = as_matrix(votes)
-    v = as_matrix(values)[i]
-    p = softmax_probs(a.sum(axis=0))
-    ev = float(p @ v)
-
-    h = np.outer(p, p) * (2.0 * ev - v[:, None] - v[None, :])
-    h[np.diag_indices_from(h)] = p * (2.0 * p - 1.0) * (ev - v) - 2.0 * params.c
-
+    h = _hessian_matrix(softmax_probs(a.sum(axis=0)), as_matrix(values)[i], params.c)
     eigs = np.linalg.eigvalsh(h)
     max_eig = float(eigs[-1])
     return HessianReport(matrix=h, max_eigenvalue=max_eig, negative_definite=max_eig < 0.0)

@@ -111,6 +111,9 @@ def run_impractical(
     return ImpracticalOutcome(p=SoftmaxOutcome(p), payments=settle(a, params, redistribute))
 
 
+_STALL = 10  # damped steps in a row that do not shrink before the bisection takes over
+
+
 def solve_practical_two_alt(
     agent_vote_sums,
     bhat,
@@ -123,7 +126,8 @@ def solve_practical_two_alt(
 
     Solves p1 = sigma(S1 - S2 + p1 (1 - p1)(Bhat_1 - Bhat_2) / c) by damped
     iteration with a bisection fallback on the log-odds of p1, whose bracket
-    holds every root for any finite inputs.
+    holds every root for any finite inputs. The fallback also takes over once
+    the damped step has not shrunk for _STALL steps in a row (a 2-cycle).
 
     Replacing the p1 (1 - p1) product with a fixed constant would turn this
     into a closed-form rule, but that variant admits equilibria where the
@@ -142,12 +146,18 @@ def solve_practical_two_alt(
         return _sigmoid(ds + p1 * (1.0 - p1) * db / c)
 
     p1 = _sigmoid(ds)
+    last, stalled = math.inf, 0
     for _ in range(max_iter):
         nxt = (1.0 - damping) * p1 + damping * step(p1)
-        if abs(nxt - p1) <= 0.1 * tol:
+        move = abs(nxt - p1)
+        if move <= 0.1 * tol:
             p1 = nxt
             break
         p1 = nxt
+        stalled = stalled + 1 if move >= last else 0
+        if stalled >= _STALL:
+            break
+        last = move
     if abs(p1 - step(p1)) <= tol:
         return _clamp_unit(p1)
 

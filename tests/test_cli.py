@@ -6,6 +6,7 @@ import pytest
 from qtmlab.analysis import bound_spread
 from qtmlab.cli import EXIT_CERTIFIED, EXIT_SOLVER, EXIT_UNCERTIFIED, EXIT_USAGE, main
 from qtmlab.core import GeneratorSpec, generate_instance, save_instance
+from qtmlab.equilibrium import solve_instance_multistart
 
 
 def _write(path, doc):
@@ -297,3 +298,38 @@ def test_csv_floats_carry_17_digits(tmp_path, instance_path):
     row = dict(zip(header, lines[2].split(",")))
     val = float(row["value"])
     assert f"{val:.17g}" == row["value"]
+
+
+@pytest.mark.parametrize("error", [ArithmeticError("no root"), np.linalg.LinAlgError("singular matrix")])
+def test_unexpected_solver_exception_is_solver_failure(tmp_path, instance_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("qtmlab.cli.solve_instance", fail)
+    cfg = _write(tmp_path / "solve.json", {"instance": str(instance_path)})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.strip() == f"solver failure: {type(error).__name__}: {error}"
+    assert "Traceback" not in err
+
+
+def test_sweep_error_row_records_exception_type(tmp_path, monkeypatch):
+    cfg = _write(tmp_path / "sweep.json", {"kind": "uniform", "m": [3], "count": 3, "n": 6, "starts": 3})
+    clean = tmp_path / "clean"
+    assert main(["sweep", "--config", cfg, "--seed", "2", "--out", str(clean)]) == EXIT_CERTIFIED
+
+    def fail_on_seed_3(profile, params, seed, **kwargs):
+        if seed == 3:
+            raise ArithmeticError("no root")
+        return solve_instance_multistart(profile, params, seed=seed, **kwargs)
+
+    monkeypatch.setattr("qtmlab.cli.solve_instance_multistart", fail_on_seed_3)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--seed", "2", "--out", str(out)]) == EXIT_UNCERTIFIED
+    header, *rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    _, *clean_rows = (clean / "sweep.csv").read_text().splitlines()[1:]
+    columns = header.split(",")
+    failed = dict(zip(columns, rows[1].split(",")))
+    assert failed["status"] == "error: ArithmeticError: no root"
+    assert failed["certified"] == "false"
+    assert [rows[0], rows[2]] == [clean_rows[0], clean_rows[2]]

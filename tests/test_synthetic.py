@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qtmlab import synthetic
 from qtmlab.core import ExternalWelfare, MechanismParams, ValueProfile
 from qtmlab.equilibrium import solve_instance, solve_two_alt
 from qtmlab.qtm import settle, welfare
@@ -149,6 +150,44 @@ def test_practical_root_near_one_is_found():
     z = -38.0 + p1 * (1.0 - p1) * 1e17
     assert abs(p1 - 1.0 / (1.0 + math.exp(-z))) <= 1e-12
     assert p1 >= 1.0 - 1e-15
+
+
+@pytest.mark.parametrize("S, bhat, c", [([0.0, 0.0], [100.0, 0.0], 0.5), ([1.0, 0.0], [-60.0, 0.0], 1.0)])
+def test_practical_cycle_goes_to_bisection_early(monkeypatch, S, bhat, c):
+    # The damped map 2-cycles here; its steps stop shrinking, so the bisection
+    # takes over instead of waiting out all 10,000 damped steps.
+    sigmoid = synthetic._sigmoid
+    calls = []
+    monkeypatch.setattr(synthetic, "_sigmoid", lambda z: calls.append(z) or sigmoid(z))
+    p1 = solve_practical_two_alt(S, bhat, MechanismParams(c))
+    assert len(calls) <= 300
+    z = S[0] - S[1] + p1 * (1.0 - p1) * (bhat[0] - bhat[1]) / c
+    assert abs(p1 - sigmoid(z)) <= 1e-12
+
+
+def test_practical_converging_iteration_is_unchanged():
+    # Where the damped iteration converges, p1 is its last iterate, bit for bit.
+    for ds in (-3.0, 0.0, 1.0, 5.0):
+        for db in (-20.0, -5.0, 1.0, 20.0):
+            for c in (0.5, 1.0, 4.0):
+                p1 = _damped(ds, db, c)
+                if p1 is not None:
+                    assert solve_practical_two_alt([ds, 0.0], [db, 0.0], MechanismParams(c)) == p1
+
+
+def _damped(ds, db, c, tol=1e-12):
+    """The plain damped iteration (damping 1/2, 10,000 steps), or None if it finds no fixed point."""
+
+    def step(p):
+        return synthetic._sigmoid(ds + p * (1.0 - p) * db / c)
+
+    p1 = synthetic._sigmoid(ds)
+    for _ in range(10_000):
+        nxt = 0.5 * p1 + 0.5 * step(p1)
+        if abs(nxt - p1) <= 0.1 * tol:
+            return min(max(nxt, 1e-15), 1.0 - 1e-15) if abs(nxt - step(nxt)) <= tol else None
+        p1 = nxt
+    return None
 
 
 def test_practical_grid_scan_oracle():
