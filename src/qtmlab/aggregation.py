@@ -10,10 +10,8 @@ made; dropping it (the weight-1 control) breaks that.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +35,6 @@ __all__ = [
     "wagering_aggregate",
     "optimize_wager_report",
     "settlement_transcript",
-    "write_transcript",
     "forced_payment_table",
     "alternative_independence_check",
 ]
@@ -95,40 +92,28 @@ class MarketState:
         return prev, self.history[t - 1]
 
 
-def _settlement_weight(p_k: float, weighted: bool, weight_cap: float | None) -> float:
+def _settlement_weight(p_k: float) -> float:
+    """The inverse selection probability 1 / p_k."""
     if p_k <= 0:
         raise ValueError("settlement needs a strictly positive selection probability")
-    if not weighted:
-        return 1.0
-    w = 1.0 / p_k
-    # Capped weights trade exactness for bounded liability; capped runs are
-    # never part of certified checks.
-    return min(w, weight_cap) if weight_cap is not None else w
+    return 1.0 / p_k
 
 
-def market_payoff(
-    t: int, state: MarketState, k: int, p, bstar: float, weighted: bool = True, weight_cap: float | None = None
-) -> float:
-    """Trader t's settlement when alternative k is selected and bstar observed.
-
-    The inverse-probability weight is the certified rule; weighted=False is the
-    control that re-couples payments to the selection.
-    """
+def market_payoff(t: int, state: MarketState, k: int, p, bstar: float) -> float:
+    """Trader t's settlement, weighted by 1 / p_k, when alternative k is selected and bstar observed."""
     probs = as_probs(p)
     prev, cur = state.prediction_pair(t)
     raw = quadratic_score(float(cur[k]), bstar, state.beta) - quadratic_score(float(prev[k]), bstar, state.beta)
-    return raw * _settlement_weight(float(probs[k]), weighted, weight_cap)
+    return raw * _settlement_weight(float(probs[k]))
 
 
-def market_total_payout(
-    state: MarketState, k: int, p, bstar: float, weighted: bool = True, weight_cap: float | None = None
-) -> float:
+def market_total_payout(state: MarketState, k: int, p, bstar: float) -> float:
     """Total mechanism spend; telescopes to the last-vs-prior score difference."""
     probs = as_probs(p)
     raw = quadratic_score(float(state.final[k]), bstar, state.beta) - quadratic_score(
         float(state.initial[k]), bstar, state.beta
     )
-    return raw * _settlement_weight(float(probs[k]), weighted, weight_cap)
+    return raw * _settlement_weight(float(probs[k]))
 
 
 def market_deviation_bound(epsilon: float, x: float) -> float:
@@ -186,14 +171,19 @@ class ManipulatorContext:
         return float(p @ v_i) - self.params.c * float(own @ own)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
+# The manipulator's search: golden-section steps per line search, coordinate sweeps per start.
+_GOLDEN_ITERS = 60
+_SWEEPS = 3
+
+
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization of a unimodal scalar function on [lo, hi]."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + inv_phi * (b - a)
@@ -207,17 +197,13 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]
 
 
 def _coordinate_search(
-    objective,
-    start: FloatArray,
-    center: FloatArray,
-    radius: float,
-    sweeps: int = 3,
+    objective, start: FloatArray, center: FloatArray, radius: float
 ) -> tuple[FloatArray, float, bool]:
     """Coordinate-wise golden-section ascent inside a box around `center`."""
     x = start.copy()
     best = objective(x)
     converged = False
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         improved = best
         for k in range(x.size):
             def along(val: float, k=k) -> float:
@@ -313,14 +299,12 @@ class WagerState:
         return self.predictions.shape[0]
 
 
-def wagering_payoffs(
-    state: WagerState, k: int, p, bstar: float, weighted: bool = True, weight_cap: float | None = None
-) -> FloatArray:
+def wagering_payoffs(state: WagerState, k: int, p, bstar: float) -> FloatArray:
     """Own score minus the pool average, inverse-probability weighted; sums to zero."""
     probs = as_probs(p)
     scores = -((state.predictions[:, k] - bstar) ** 2) / state.beta
     centered = scores - scores.mean()
-    return centered * _settlement_weight(float(probs[k]), weighted, weight_cap)
+    return centered * _settlement_weight(float(probs[k]))
 
 
 def wagering_aggregate(state: WagerState) -> FloatArray:
@@ -370,9 +354,7 @@ def _wager_score_changes(state: WagerState, model: OutcomeModel) -> FloatArray:
     return exp_scores - exp_scores.mean(axis=0, keepdims=True)
 
 
-def settlement_transcript(
-    state: MarketState | WagerState, k: int, p, bstar: float, weighted: bool = True
-) -> list[dict]:
+def settlement_transcript(state: MarketState | WagerState, k: int, p, bstar: float) -> list[dict]:
     """One record per trade/wager at the realized settlement: {t, bhat, payoff, k, bstar}."""
     records = []
     if isinstance(state, MarketState):
@@ -382,13 +364,13 @@ def settlement_transcript(
                 {
                     "t": t,
                     "bhat": cur.tolist(),
-                    "payoff": market_payoff(t, state, k, p, bstar, weighted),
+                    "payoff": market_payoff(t, state, k, p, bstar),
                     "k": k,
                     "bstar": bstar,
                 }
             )
     else:
-        payoffs = wagering_payoffs(state, k, p, bstar, weighted)
+        payoffs = wagering_payoffs(state, k, p, bstar)
         for t in range(state.n_forecasters):
             records.append(
                 {
@@ -400,12 +382,6 @@ def settlement_transcript(
                 }
             )
     return records
-
-
-def write_transcript(path, records: list[dict]) -> None:
-    """JSON-lines transcript, one record per line."""
-    lines = [json.dumps(r, sort_keys=True) for r in records]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def forced_payment_table(state: MarketState | WagerState, model: OutcomeModel, weighted: bool = True) -> FloatArray:

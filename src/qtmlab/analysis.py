@@ -164,7 +164,6 @@ def certify_instance(
     profile: ValueProfile,
     params: MechanismParams,
     external: ExternalWelfare | None = None,
-    alpha: float | None = None,
     all_solutions: list[EquilibriumSolution] | None = None,
 ) -> list[BoundReport]:
     """Evaluate every applicable bound at one solved instance.
@@ -218,9 +217,4 @@ def certify_instance(
                 reports.append(BoundReport.upper("a1_upper", a1_hi, a1, applicable=sandwich.upper_certified))
     else:
         reports.append(BoundReport.lower("ppoa_m_floor", bound_m(profile.m), measured_ppoa))
-
-    if alpha is not None:
-        reports.append(
-            BoundReport.lower("squap_welfare", bound_squap(T, alpha), measured_ppoa, applicable=at_half_max)
-        )
     return reports

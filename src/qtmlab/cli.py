@@ -9,9 +9,9 @@ includes any unexpected exception (reported on one line, never as a traceback).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import write_transcript
 from .analysis import BoundReport, certify_instance
 from .core import (
     GeneratorSpec,
@@ -84,10 +83,21 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, schema: str, columns: list[str], rows: list[dict]) -> None:
-    lines = [f"# qtmlab-csv-schema: {schema}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in columns))
-    path.write_text("\n".join(lines) + "\n")
+    """Schema line, header and rows; a field holding a comma or quote is quoted."""
+    with path.open("w", newline="") as fh:
+        fh.write(f"# qtmlab-csv-schema: {schema}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row.get(col)) for col in columns] for row in rows)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _write_jsonl(path: Path, docs: list[dict]) -> None:
+    """One JSON document per line."""
+    path.write_text("\n".join(json.dumps(d, sort_keys=True) for d in docs) + "\n")
 
 
 def _write_bounds_csv(path: Path, instance_id: str, reports: list[BoundReport]) -> None:
@@ -179,14 +189,14 @@ def cmd_solve(config: dict, seed: int, out: Path, base: Path, mode: str) -> int:
 
     reports = certify_instance(sol, profile, params, external=external, all_solutions=solutions)
     out.mkdir(parents=True, exist_ok=True)
-    sol.write_json(out / "certificate.json", seed=seed, params=params)
+    _write_json(out / "certificate.json", sol.to_doc(seed, params))
     _write_bounds_csv(out / "bounds.csv", config.get("id", "instance"), reports)
 
     certified = (
-        sol.foc_residual <= tol
-        and (not with_br or sol.br_slack <= BR_SLACK_TOL)
+        with_br
+        and sol.br_slack <= BR_SLACK_TOL
+        and sol.foc_residual <= tol
         and all(b.satisfied for b in reports if b.applicable)
-        and with_br
     )
     return EXIT_CERTIFIED if certified else EXIT_UNCERTIFIED
 
@@ -294,18 +304,7 @@ def cmd_squap(config: dict, seed: int, out: Path, base: Path) -> int:
     profile, _ = _load_instance(base, config["instance"])
 
     try:
-        base_config = SquapConfig(
-            aggregation=config.get("aggregation", "market"),
-            epsilon=float(config.get("epsilon", 0.25)),
-            beta=config.get("beta"),
-            c=config.get("c"),
-            redistribute=bool(config.get("redistribute", False)),
-            seed=seed,
-            n_participants=int(config.get("nParticipants", 4)),
-            initial=tuple(config["initial"]) if config.get("initial") is not None else None,
-            manipulator=config.get("manipulator"),
-            variances=tuple(config["variances"]) if config.get("variances") is not None else None,
-        )
+        base_config = SquapConfig.from_doc(config, seed)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid squap config: {exc}")
 
@@ -330,8 +329,7 @@ def cmd_squap(config: dict, seed: int, out: Path, base: Path) -> int:
         except StageError as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return EXIT_SOLVER
-        lines = [json.dumps(r.to_doc(), sort_keys=True) for r in runs]
-        (out / "runs.jsonl").write_text("\n".join(lines) + "\n")
+        _write_jsonl(out / "runs.jsonl", [r.to_doc() for r in runs])
         return EXIT_CERTIFIED if all(r.certified for r in runs) else EXIT_UNCERTIFIED
 
     try:
@@ -340,22 +338,22 @@ def cmd_squap(config: dict, seed: int, out: Path, base: Path) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    run.write_json(out / "run.json")
+    _write_json(out / "run.json", run.to_doc())
     _write_bounds_csv(out / "bounds.csv", config.get("id", "squap"), run.bounds)
-    write_transcript(out / "transcript.jsonl", run.transcript)
+    _write_jsonl(out / "transcript.jsonl", run.transcript)
     return EXIT_CERTIFIED if run.certified else EXIT_UNCERTIFIED
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="qtmlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "solve", "sweep", "squap"):
-        cmd = sub.add_parser(name)
+    commands = {name: sub.add_parser(name) for name in ("generate", "solve", "sweep", "squap")}
+    for cmd in commands.values():
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--jobs", type=int, default=None, help="parallel sweep workers")
-        cmd.add_argument("--mode", choices=("certified", "measure"), default="certified")
+    commands["solve"].add_argument("--mode", choices=("certified", "measure"), default="certified")
+    commands["sweep"].add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
 
     try:
         args = parser.parse_args(argv)
@@ -367,16 +365,13 @@ def main(argv: list[str] | None = None) -> int:
         base = Path(args.config).resolve().parent
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         out = Path(args.out)
-        jobs = args.jobs
-        if jobs is None:
-            jobs = int(os.environ.get("QTMLAB_JOBS", "1"))
 
         if args.command == "generate":
             return cmd_generate(config, seed, out, base)
         if args.command == "solve":
             return cmd_solve(config, seed, out, base, args.mode)
         if args.command == "sweep":
-            return cmd_sweep(config, seed, out, base, jobs)
+            return cmd_sweep(config, seed, out, base, args.jobs)
         return cmd_squap(config, seed, out, base)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

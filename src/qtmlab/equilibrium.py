@@ -16,10 +16,8 @@ stationarity residual and the slack found by explicit best-response search.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -123,6 +121,12 @@ def _stationarity_votes(p: FloatArray, values: FloatArray, c: float) -> FloatArr
     return p / (2.0 * c) * (values - (values @ p)[..., None])
 
 
+# The m > 2 fixed point: damped step weight and iteration limit, and the
+# max-norm distance below which two multi-start solutions count as one.
+_DAMPING = 0.5
+_MAX_ITER = 100_000
+_DISTINCT_TOL = 1e-7
+
 # Newton finish of the m > 2 fixed point (see solve_foc_fixed_point).
 _NEWTON_DISTANCE = 0.1
 _NEWTON_AFTER = 200
@@ -158,27 +162,19 @@ def _newton_step(
     return None
 
 
-def solve_foc_fixed_point(
-    totals,
-    params: MechanismParams,
-    damping: float = 0.5,
-    max_iter: int = 100_000,
-    tol: float = 1e-10,
-    init=None,
-) -> AggregateSolution:
-    """Damped iteration A <- (1 - damping) A + damping F(A), finished by Newton.
+def solve_foc_fixed_point(totals, params: MechanismParams, tol: float = 1e-10, init=None) -> AggregateSolution:
+    """Damped iteration A <- (1 - _DAMPING) A + _DAMPING F(A), finished by Newton.
 
-    The damped step at damping 1/2 is A + grad G / 4c, a gradient ascent on
+    The damped step (damping 1/2) is A + grad G / 4c, a gradient ascent on
     G(A) = p . V - c |A|^2. Once its residuals contract to within
     _NEWTON_DISTANCE of the fixed point (a-posteriori), or after
     _NEWTON_AFTER steps (a 2-cycle), each iteration tries a safeguarded
     Newton step on A - F(A) and keeps taking them while they are accepted;
     a rejected one falls back to the damped step. iterations counts both.
     F always sums to zero, so the returned aggregates do too (up to rounding).
-    Non-convergence is reported in the status, never silently.
+    Non-convergence after _MAX_ITER iterations is reported in the status,
+    never silently.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     V = as_vector(totals)
     c = params.c
     A = np.zeros(V.size) if init is None else as_vector(init).copy()
@@ -187,7 +183,7 @@ def solve_foc_fixed_point(
     residual = math.inf
     newton = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         R = A - F
         prev, residual = residual, float(np.max(np.abs(R)))
         if residual <= tol:
@@ -199,7 +195,7 @@ def solve_foc_fixed_point(
         if newton:
             A, p, F = step
         else:
-            A = (1.0 - damping) * A + damping * F
+            A = (1.0 - _DAMPING) * A + _DAMPING * F
             p = softmax_probs(A)
             F = _stationarity_votes(p, V, c)
     status = CONVERGED if residual <= tol else MAX_ITERATIONS
@@ -217,10 +213,7 @@ def solve_foc_multistart(
     params: MechanismParams,
     n_starts: int = 8,
     seed: int = 0,
-    damping: float = 0.5,
-    max_iter: int = 100_000,
     tol: float = 1e-10,
-    distinct_tol: float = 1e-7,
 ) -> list[AggregateSolution]:
     """Fixed points reached from A = 0 plus random starts, deduplicated.
 
@@ -234,10 +227,10 @@ def solve_foc_multistart(
     inits.extend(rng.uniform(-scale, scale, size=V.size) for _ in range(n_starts))
     found: list[AggregateSolution] = []
     for init in inits:
-        sol = solve_foc_fixed_point(V, params, damping=damping, max_iter=max_iter, tol=tol, init=init)
+        sol = solve_foc_fixed_point(V, params, tol=tol, init=init)
         if sol.status != CONVERGED:
             continue
-        if all(np.max(np.abs(sol.aggregates - f.aggregates)) > distinct_tol for f in found):
+        if all(np.max(np.abs(sol.aggregates - f.aggregates)) > _DISTINCT_TOL for f in found):
             found.append(sol)
     return found
 
@@ -282,6 +275,9 @@ class BestResponse:
 
 # Starts per row below the concavity threshold: zero, then uniform draws on the box.
 _STARTS = 5
+# Best-response search: projected-gradient-norm tolerance and iteration limit.
+_BR_TOL = 1e-9
+_BR_MAX_ITER = 500
 
 
 def _row_softmax(x: FloatArray) -> FloatArray:
@@ -310,11 +306,11 @@ def _row_pg_norm(a: FloatArray, g: FloatArray, r: FloatArray) -> FloatArray:
     return np.where(blocked, 0.0, np.abs(g)).max(axis=1)
 
 
-def _row_warm_start(rows: np.ndarray, opp: FloatArray, v: FloatArray, c: float, tol: float) -> FloatArray:
+def _row_warm_start(rows: np.ndarray, opp: FloatArray, v: FloatArray, c: float) -> FloatArray:
     """Damped stationarity iteration a <- a/2 + (p/4c)(v - E_p v) from zero, at most 80 sweeps.
 
     Row j faces opp[rows[j]] with values v[rows[j]]. The step is a + g/4c with
-    g the own gradient. A row freezes once a step moves it by at most 0.01 tol.
+    g the own gradient. A row freezes once a step moves it by at most 0.01 _BR_TOL.
     """
     a = np.zeros((rows.size, v.shape[1]))
     live = np.arange(rows.size)
@@ -324,29 +320,27 @@ def _row_warm_start(rows: np.ndarray, opp: FloatArray, v: FloatArray, c: float, 
         x, src = a[live], rows[live]
         nxt = x + _row_grad(x, opp[src], v[src], c) / (4.0 * c)
         a[live] = nxt
-        live = live[np.max(np.abs(nxt - x), axis=1) > 0.01 * tol]
+        live = live[np.max(np.abs(nxt - x), axis=1) > 0.01 * _BR_TOL]
     return a
 
 
-def _row_pga(
-    a: FloatArray, rows: np.ndarray, opp: FloatArray, v: FloatArray, c: float, r: FloatArray, tol: float, max_iter: int
-) -> None:
+def _row_pga(a: FloatArray, rows: np.ndarray, opp: FloatArray, v: FloatArray, c: float, r: FloatArray) -> None:
     """Projected gradient ascent with Armijo backtracking on each row of a, in place.
 
     Row j faces opp[rows[j]] with values v[rows[j]] on the box [-r, r] of
     r[rows[j]]. Rows step in lockstep but stop on their own: at a
-    projected-gradient norm of at most tol, on a step that leaves the row
-    unmoved, or after max_iter iterations. Backtracking halves the step from
+    projected-gradient norm of at most _BR_TOL, on a step that leaves the row
+    unmoved, or after _BR_MAX_ITER iterations. Backtracking halves the step from
     1/2c and gives up (the row stays put) below 1e-18.
     """
     box = r[rows]
     np.clip(a, -box, box, out=a)
     live = np.arange(rows.size)
-    for _ in range(max_iter):
+    for _ in range(_BR_MAX_ITER):
         src = rows[live]
         x, o, w, b = a[live], opp[src], v[src], r[src]
         g = _row_grad(x, o, w, c)
-        keep = _row_pg_norm(x, g, b) > tol
+        keep = _row_pg_norm(x, g, b) > _BR_TOL
         if not keep.all():
             live, x, o, w, b, g = live[keep], x[keep], o[keep], w[keep], b[keep], g[keep]
         if live.size == 0:
@@ -368,9 +362,7 @@ def _row_pga(
         live = live[moved]
 
 
-def _best_responses(
-    opp: FloatArray, v: FloatArray, c: float, tol: float = 1e-9, max_iter: int = 500
-) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
+def _best_responses(opp: FloatArray, v: FloatArray, c: float) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
     """Best responses of k independent rows, row i facing opponent totals opp[i] with values v[i].
 
     Returns the votes, objective, projected-gradient norm and heuristic flag
@@ -387,12 +379,12 @@ def _best_responses(
     multi = np.flatnonzero(heuristic)
     rows = np.concatenate([concave, np.repeat(multi, _STARTS)])
     a0 = np.zeros((rows.size, m))
-    a0[: concave.size] = _row_warm_start(concave, opp, v, c, tol)
+    a0[: concave.size] = _row_warm_start(concave, opp, v, c)
     # The same draws for every row: the search reseeds default_rng(0) per agent.
     draws = np.random.default_rng(0).random((_STARTS - 1, m))
     rm = r[multi, None]
     a0[concave.size :].reshape(multi.size, _STARTS, m)[:, 1:] = -rm + (2.0 * rm) * draws
-    _row_pga(a0, rows, opp, v, c, r, tol, max_iter)
+    _row_pga(a0, rows, opp, v, c, r)
     a = np.zeros((k, m))
     a[concave] = a0[: concave.size]
     tried, tried_rows = a0[concave.size :], rows[concave.size :]
@@ -401,7 +393,7 @@ def _best_responses(
     return a, _row_objective(a, opp, v, c), _row_pg_norm(a, _row_grad(a, opp, v, c), r), heuristic
 
 
-def best_response(opponent_aggregate, v_i, params: MechanismParams, tol: float = 1e-9, max_iter: int = 500) -> BestResponse:
+def best_response(opponent_aggregate, v_i, params: MechanismParams) -> BestResponse:
     """Maximize p-weighted value minus the quadratic charge over the dominated box.
 
     In the strictly concave regime (c at least half the agent's top value) the
@@ -411,7 +403,7 @@ def best_response(opponent_aggregate, v_i, params: MechanismParams, tol: float =
     """
     opp = as_vector(opponent_aggregate)[None]
     v = as_vector(v_i)[None]
-    a, objective, grad_norm, heuristic = _best_responses(opp, v, params.c, tol, max_iter)
+    a, objective, grad_norm, heuristic = _best_responses(opp, v, params.c)
     return BestResponse(a[0], float(objective[0]), float(grad_norm[0]), bool(heuristic[0]))
 
 
@@ -427,13 +419,12 @@ def foc_residual(votes, values, params: MechanismParams) -> float:
     )
 
 
-def verify_equilibrium(votes, values, params: MechanismParams, tol: float = 1e-8) -> tuple[float, float]:
+def verify_equilibrium(votes, values, params: MechanismParams) -> tuple[float, float]:
     """(stationarity residual, best-response slack) of a vote profile.
 
-    Both at or below tol certifies the profile as an equilibrium at that
-    tolerance. The slack is the largest utility improvement any agent's
-    best-response search can find, with all agents searched in one batched
-    pass; the redistribution term cancels in it.
+    Callers compare both against their own gates. The slack is the largest
+    utility improvement any agent's best-response search can find, with all
+    agents searched in one batched pass; the redistribution term cancels in it.
     """
     a = as_matrix(votes)
     v = as_matrix(values)
@@ -469,9 +460,6 @@ class EquilibriumSolution:
         if params is not None:
             doc["params"] = {"c": params.c}
         return doc
-
-    def write_json(self, path: str | Path, seed: int | None = None, params: MechanismParams | None = None) -> None:
-        Path(path).write_text(json.dumps(self.to_doc(seed, params), sort_keys=True, indent=2) + "\n")
 
 
 def _solution_from_aggregates(

@@ -8,10 +8,8 @@ point instead and are always marked uncertified.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -88,18 +86,45 @@ class SquapConfig:
         return OutcomeModel(means=B, variances=np.asarray(self.variances, dtype=float), family="gaussian")
 
     def to_doc(self) -> dict:
-        return {
-            "aggregation": self.aggregation,
-            "epsilon": self.epsilon,
-            "beta": self.beta,
-            "c": self.c,
-            "redistribute": self.redistribute,
-            "seed": self.seed,
-            "nParticipants": self.n_participants,
-            "initial": list(self.initial) if self.initial is not None else None,
-            "manipulator": self.manipulator,
-            "variances": list(self.variances) if self.variances is not None else None,
-        }
+        """Every field under its camelCase key, tuples as lists."""
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            doc[_camel(f.name)] = list(value) if isinstance(value, tuple) else value
+        return doc
+
+    @classmethod
+    def from_doc(cls, doc: dict, seed: int) -> "SquapConfig":
+        """The config a JSON document describes, keyed as in to_doc; absent keys keep their defaults.
+
+        The seed is passed apart, because a command-line seed overrides the document's.
+        """
+        kwargs = {}
+        for f in fields(cls):
+            key = _camel(f.name)
+            if f.name != "seed" and key in doc:
+                coerce = _FROM_JSON.get(f.name)
+                kwargs[f.name] = doc[key] if coerce is None else coerce(doc[key])
+        return cls(seed=seed, **kwargs)
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.title() for word in rest)
+
+
+def _tuple_or_none(value):
+    return None if value is None else tuple(value)
+
+
+# How a JSON value becomes each field; the others are taken as given.
+_FROM_JSON = {
+    "epsilon": float,
+    "redistribute": bool,
+    "n_participants": int,
+    "initial": _tuple_or_none,
+    "variances": _tuple_or_none,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,9 +182,6 @@ class SquapRun:
             "practical": self.practical,
             "flags": dict(sorted(self.flags.items())),
         }
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n")
 
 
 def _resolve_params(profile: ValueProfile, config: SquapConfig) -> tuple[MechanismParams, float, float]:

@@ -55,29 +55,23 @@ class SyntheticCommitment:
     p: SoftmaxOutcome
 
 
-def commit(
-    totals,
-    bhat,
-    params: MechanismParams,
-    tol: float = 1e-12,
-    response_factor: bool = True,
-) -> SyntheticCommitment:
+_COMMIT_TOL = 1e-12
+
+
+def commit(totals, bhat, params: MechanismParams) -> SyntheticCommitment:
     """Solve the welfare stationarity system and derive the synthetic votes.
 
-    With response_factor the synthetic votes are (p_k / 2c)(Bhat_k - E_p Bhat),
-    matching the stationarity lemma the construction is adapted from; without
-    it they are the verbatim p_k (Bhat_k - E_p Bhat) reading, equivalent to
-    solving at c = 1/2. The factor-free reading exists only for comparison.
+    The synthetic votes are (p_k / 2c)(Bhat_k - E_p Bhat), matching the
+    stationarity lemma the construction is adapted from.
     """
     V = as_vector(totals)
     bh = as_vector(bhat)
     if V.size != bh.size:
         raise ValueError("totals and bhat disagree on m")
-    eff_params = params if response_factor else MechanismParams(0.5)
-    sol = solve_aggregate(V + bh, eff_params, tol)
+    sol = solve_aggregate(V + bh, params, _COMMIT_TOL)
     if sol.status != CONVERGED:
         raise RuntimeError(f"aggregate fixed point did not converge (status {sol.status})")
-    a_mech = _stationarity_votes(sol.p, bh, eff_params.c)
+    a_mech = _stationarity_votes(sol.p, bh, params.c)
     return SyntheticCommitment(aggregates=sol.aggregates, a_mech=a_mech, p=SoftmaxOutcome(sol.p))
 
 
@@ -111,17 +105,15 @@ def run_impractical(
     return ImpracticalOutcome(p=SoftmaxOutcome(p), payments=settle(a, params, redistribute))
 
 
-_STALL = 10  # damped steps in a row that do not shrink before the bisection takes over
+# The practical fixed point: tolerance on p1, damped step weight, iteration limit,
+# and the damped steps in a row that do not shrink before the bisection takes over.
+_PRACTICAL_TOL = 1e-12
+_DAMPING = 0.5
+_MAX_ITER = 10_000
+_STALL = 10
 
 
-def solve_practical_two_alt(
-    agent_vote_sums,
-    bhat,
-    params: MechanismParams,
-    tol: float = 1e-12,
-    damping: float = 0.5,
-    max_iter: int = 10_000,
-) -> float:
+def solve_practical_two_alt(agent_vote_sums, bhat, params: MechanismParams) -> float:
     """Selection probability of alternative 1 in the practical two-alternative variant.
 
     Solves p1 = sigma(S1 - S2 + p1 (1 - p1)(Bhat_1 - Bhat_2) / c) by damped
@@ -147,10 +139,10 @@ def solve_practical_two_alt(
 
     p1 = _sigmoid(ds)
     last, stalled = math.inf, 0
-    for _ in range(max_iter):
-        nxt = (1.0 - damping) * p1 + damping * step(p1)
+    for _ in range(_MAX_ITER):
+        nxt = (1.0 - _DAMPING) * p1 + _DAMPING * step(p1)
         move = abs(nxt - p1)
-        if move <= 0.1 * tol:
+        if move <= 0.1 * _PRACTICAL_TOL:
             p1 = nxt
             break
         p1 = nxt
@@ -158,7 +150,7 @@ def solve_practical_two_alt(
         if stalled >= _STALL:
             break
         last = move
-    if abs(p1 - step(p1)) <= tol:
+    if abs(p1 - step(p1)) <= _PRACTICAL_TOL:
         return _clamp_unit(p1)
 
     # Bisect on the log-odds x of p1: x = ds + sigma(x) sigma(-x) db / c, and
@@ -174,7 +166,7 @@ def solve_practical_two_alt(
             hi = mid
         else:
             lo = mid
-        if hi - lo <= tol:
+        if hi - lo <= _PRACTICAL_TOL:
             break
     return _clamp_unit(_sigmoid(0.5 * (lo + hi)))
 

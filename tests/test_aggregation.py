@@ -273,24 +273,6 @@ def test_market_spend_bounded_by_prior_gap():
     assert expected_spend <= cap + 1e-12
 
 
-def test_capped_weight_variant():
-    # The bounded-liability variant caps the inverse weight; it exists for
-    # measurement only and coincides with the exact rule when the cap is slack.
-    state = MarketState(beta=1.0, initial=[0.0, 0.0])
-    state.report([1.0, 0.0])
-    p = [0.1, 0.9]
-    exact = market_payoff(1, state, 0, p, bstar=1.0)
-    capped = market_payoff(1, state, 0, p, bstar=1.0, weight_cap=5.0)
-    assert capped == pytest.approx(exact / 2.0, abs=1e-12)  # weight 10 capped to 5
-    assert market_payoff(1, state, 0, p, bstar=1.0, weight_cap=100.0) == pytest.approx(exact, abs=1e-12)
-
-    wstate = WagerState(beta=1.0, predictions=np.array([[1.0, 0.0], [0.0, 0.0]]))
-    w_exact = wagering_payoffs(wstate, 0, p, bstar=1.0)
-    w_capped = wagering_payoffs(wstate, 0, p, bstar=1.0, weight_cap=5.0)
-    assert np.allclose(w_capped, w_exact / 2.0, atol=1e-12)
-    assert abs(w_capped.sum()) <= 1e-12  # still budget balanced
-
-
 def test_settlement_transcript_shapes():
     from qtmlab.aggregation import settlement_transcript
 

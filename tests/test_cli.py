@@ -1,12 +1,15 @@
+import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from qtmlab.analysis import bound_spread
-from qtmlab.cli import EXIT_CERTIFIED, EXIT_SOLVER, EXIT_UNCERTIFIED, EXIT_USAGE, main
+from qtmlab.cli import EXIT_CERTIFIED, EXIT_SOLVER, EXIT_UNCERTIFIED, EXIT_USAGE, SWEEP_COLUMNS, main
 from qtmlab.core import GeneratorSpec, generate_instance, save_instance
 from qtmlab.equilibrium import solve_instance_multistart
+from qtmlab.squap import SquapConfig
 
 
 def _write(path, doc):
@@ -126,15 +129,20 @@ def test_sweep_uniform_m_kind(tmp_path):
     assert len(rows) == 3
 
 
-def test_sweep_respects_jobs_env(tmp_path, monkeypatch):
+def test_sweep_jobs_flag_keeps_bytes(tmp_path):
     cfg = _write(tmp_path / "sweep.json", {"kind": "spread", "T": [8, 32], "seedsPer": 1})
-    monkeypatch.setenv("QTMLAB_JOBS", "2")
     out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--seed", "3", "--out", str(out)]) == EXIT_CERTIFIED
+    assert main(["sweep", "--config", cfg, "--seed", "3", "--jobs", "2", "--out", str(out)]) == EXIT_CERTIFIED
     serial = tmp_path / "serial"
-    monkeypatch.setenv("QTMLAB_JOBS", "1")
-    assert main(["sweep", "--config", cfg, "--seed", "3", "--out", str(serial)]) == EXIT_CERTIFIED
+    assert main(["sweep", "--config", cfg, "--seed", "3", "--jobs", "1", "--out", str(serial)]) == EXIT_CERTIFIED
     assert (out / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["generate", "--mode", "measure"], ["solve", "--jobs", "2"]])
+def test_flag_of_another_subcommand_is_usage_error(tmp_path, instance_path, argv):
+    cfg = _write(tmp_path / "cfg.json", {"instance": str(instance_path), "generator": {"n": 3}})
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
 
 
 def _squap_instance(tmp_path):
@@ -211,6 +219,30 @@ def test_squap_batch_jsonl(tmp_path):
     lines = (out / "runs.jsonl").read_text().splitlines()
     assert len(lines) == 3
     assert all(json.loads(line)["certified"] for line in lines)
+
+
+def test_squap_config_round_trips_through_the_cli(tmp_path):
+    inst, _ = _squap_instance(tmp_path)
+    config = SquapConfig(
+        aggregation="wagering",
+        epsilon=0.5,
+        beta=0.3,
+        c=0.7,
+        redistribute=True,
+        seed=9,
+        n_participants=5,
+        initial=(0.1, 0.2),
+        manipulator=1,
+        variances=(0.05, 0.1),
+    )
+    doc = config.to_doc()
+    assert list(doc) == [{"n_participants": "nParticipants"}.get(f.name, f.name) for f in fields(SquapConfig)]
+    assert SquapConfig.from_doc(json.loads(json.dumps(doc)), config.seed) == config
+
+    cfg = _write(tmp_path / "squap.json", {"instance": str(inst), "B": [1.0, 0.25], **doc})
+    out = tmp_path / "out"
+    assert main(["squap", "--config", cfg, "--out", str(out)]) == EXIT_UNCERTIFIED  # redistribution is on
+    assert json.loads((out / "run.json").read_text())["config"] == doc
 
 
 def test_squap_epsilon_grid_batch(tmp_path):
@@ -333,3 +365,23 @@ def test_sweep_error_row_records_exception_type(tmp_path, monkeypatch):
     assert failed["status"] == "error: ArithmeticError: no root"
     assert failed["certified"] == "false"
     assert [rows[0], rows[2]] == [clean_rows[0], clean_rows[2]]
+
+
+def test_sweep_error_message_with_commas_keeps_the_columns(tmp_path, monkeypatch):
+    cfg = _write(tmp_path / "sweep.json", {"kind": "uniform", "m": [3], "count": 3, "n": 6, "starts": 3})
+    message = "shapes (3,) and (4,) not aligned"
+
+    def fail_on_seed_3(profile, params, seed, **kwargs):
+        if seed == 3:
+            raise ValueError(message)
+        return solve_instance_multistart(profile, params, seed=seed, **kwargs)
+
+    monkeypatch.setattr("qtmlab.cli.solve_instance_multistart", fail_on_seed_3)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--seed", "2", "--out", str(out)]) == EXIT_UNCERTIFIED
+    with (out / "sweep.csv").open(newline="") as fh:
+        next(fh)  # schema line
+        header, *rows = csv.reader(fh)
+    assert header == SWEEP_COLUMNS
+    assert [len(row) for row in rows] == [23, 23, 23]
+    assert dict(zip(header, rows[1]))["status"] == f"error: ValueError: {message}"

@@ -67,21 +67,6 @@ def test_commit_huge_welfare_gap():
     assert abs(cmt.a_mech.sum()) < 1e-9
 
 
-def test_commit_no_factor_reading():
-    # The factor-free reading coincides with the factored one at c = 1/2 and
-    # differs elsewhere.
-    V = np.array([2.0, 1.0])
-    bhat = np.array([1.0, 0.0])
-    at_half = commit(V, bhat, HALF, response_factor=False)
-    assert np.max(np.abs(at_half.aggregates - commit(V, bhat, HALF).aggregates)) < 1e-12
-    other = MechanismParams(2.0)
-    assert (
-        np.max(np.abs(commit(V, bhat, other, response_factor=False).aggregates
-                      - commit(V, bhat, other).aggregates))
-        > 1e-3
-    )
-
-
 def test_run_impractical_focal_reconstruction():
     rng = np.random.default_rng(9)
     prof = ValueProfile(rng.uniform(0, 1, size=(8, 2)))
@@ -193,7 +178,7 @@ def _damped(ds, db, c, tol=1e-12):
 def test_practical_grid_scan_oracle():
     S = np.array([5.0, 0.0])
     bhat = np.array([0.0, 5.0])
-    p1 = solve_practical_two_alt(S, bhat, HALF, tol=1e-12)
+    p1 = solve_practical_two_alt(S, bhat, HALF)
 
     def residual(p):
         z = (S[0] - S[1]) + p * (1 - p) * (bhat[0] - bhat[1]) / HALF.c
