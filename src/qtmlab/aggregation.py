@@ -6,6 +6,12 @@ market of the selected alternative, and weight that settlement by the inverse
 selection probability. The inverse weight cancels the settlement probability,
 so a participant's expected payment is the same no matter how the selection is
 made; dropping it (the weight-1 control) breaks that.
+
+A forecaster who also votes (ManipulatorContext) reports to maximize their
+expected score plus their decision-stage utility. Their report is found by
+projected gradient ascent from five starts in a box around the truth; the
+utility's gradient comes from implicit differentiation of the committed
+aggregate fixed point, at the cost of one m x m solve per evaluation.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 
 from .core import FloatArray, MechanismParams, ValueProfile, as_probs, as_vector
 from .equilibrium import _stationarity_votes
+from .qtm import _hessian_matrix
 from .synthetic import commit
 
 __all__ = [
@@ -162,77 +169,105 @@ class ManipulatorContext:
     agent: int
     params: MechanismParams
 
-    def qtm_stage_utility(self, bhat: FloatArray) -> float:
-        """Focal-equilibrium own utility of the committed decision stage at Bhat."""
-        commitment = commit(self.profile.aggregates, bhat, self.params)
-        p = commitment.p.p
+    def utility_and_gradient(self, bhat: FloatArray) -> tuple[float, FloatArray | None]:
+        """Focal-equilibrium own utility of the committed decision stage at Bhat, and its gradient.
+
+        The gradient comes from implicit differentiation of the one commit: with W = V + Bhat
+        the committed A = F(A; W) moves as dA/dW = M^-1 J / 2c, where J = diag(p) - p p^T and
+        M = -hessian(p, W) / 2c is the fixed point's Newton matrix; u = p . v - c |own|^2 with
+        own = J v / 2c has A-gradient -hessian(p, v) own. The gradient is None where M is not
+        positive definite (possible only for m > 2).
+        """
+        c = self.params.c
+        p = commit(self.profile.aggregates, bhat, self.params).p.p
         v_i = self.profile.values[self.agent]
-        own = _stationarity_votes(p, v_i, self.params.c)
-        return float(p @ v_i) - self.params.c * float(own @ own)
+        own = _stationarity_votes(p, v_i, c)
+        u = float(p @ v_i) - c * float(own @ own)
+        M = _hessian_matrix(p, self.profile.aggregates + bhat, c) / (-2.0 * c)
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            return u, None
+        z = np.linalg.solve(M, -_hessian_matrix(p, v_i, c) @ own) / (2.0 * c)
+        return u, p * (z - p @ z)
 
 
-# The manipulator's search: golden-section steps per line search, coordinate sweeps per start.
-_GOLDEN_ITERS = 60
-_SWEEPS = 3
+# The manipulator's search (see _ascent): box half-width in max values,
+# iteration cap, longest step and backtracking floor in units of h0, Armijo
+# factor, the objective's relative rounding noise, and the relative projected
+# steps that stop an ascent and that count as converged.
+_BOX = 10.0
+_MAX_ITER = 100
+_MAX_STEP = 10.0
+_MIN_STEP = 1e-12
+_ARMIJO = 1e-4
+_NOISE = 2e-13
+_STOP = 1e-8
+_CONVERGED = 1e-6
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal scalar function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(_GOLDEN_ITERS):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _report_objective(manipulator: ManipulatorContext, truth: FloatArray, beta: float, kappa: float, others_sum, n: int):
+    """kappa times a report's expected score plus the utility at Bhat = (others_sum + report) / n, with its gradient."""
+
+    def objective(report: FloatArray) -> tuple[float, FloatArray | None]:
+        u, grad = manipulator.utility_and_gradient((others_sum + report) / n)
+        f = kappa * expected_score(report, truth, beta) + u
+        return f, None if grad is None else grad / n - 2.0 * kappa * (report - truth) / beta
+
+    return objective
 
 
-def _coordinate_search(
-    objective, start: FloatArray, center: FloatArray, radius: float
-) -> tuple[FloatArray, float, bool]:
-    """Coordinate-wise golden-section ascent inside a box around `center`."""
-    x = start.copy()
-    best = objective(x)
-    converged = False
-    for _ in range(_SWEEPS):
-        improved = best
-        for k in range(x.size):
-            def along(val: float, k=k) -> float:
-                trial = x.copy()
-                trial[k] = val
-                return objective(trial)
+def _projected_step(x: FloatArray, g: FloatArray, h0: float, lo: FloatArray, hi: FloatArray) -> float:
+    """Max-norm of the projected gradient step of length h0, relative to max(1, |x|)."""
+    return float(np.max(np.abs(np.clip(x + h0 * g, lo, hi) - x))) / max(1.0, float(np.max(np.abs(x))))
 
-            xk, fk = _golden_max(along, center[k] - radius, center[k] + radius)
-            if fk > best:
-                x[k] = xk
-                best = fk
-        if best - improved <= 1e-12 * max(1.0, abs(best)):
-            converged = True
+
+def _ascent(objective, x: FloatArray, lo: FloatArray, hi: FloatArray, h0: float):
+    """Projected gradient ascent with Barzilai-Borwein steps and Armijo backtracking.
+
+    Returns the last point with its value and gradient (None once the gradient
+    is unavailable). The objective is only accurate to about 1e-13 (commit
+    solves to 1e-12/1e-13), so the Armijo test forgives _NOISE |f|, which lets
+    the exact gradient finish where values no longer tell points apart, and
+    backtracking gives up below _MIN_STEP h0.
+    """
+    f, g = objective(x)
+    t = h0
+    for _ in range(_MAX_ITER):
+        if g is None or _projected_step(x, g, h0, lo, hi) <= _STOP:
             break
-    return x, best, converged
+        while True:
+            trial = np.clip(x + t * g, lo, hi)
+            f_t, g_t = objective(trial)
+            if f_t >= f + _ARMIJO * float(g @ (trial - x)) - _NOISE * max(1.0, abs(f)):
+                break
+            t *= 0.5
+            if t < _MIN_STEP * h0:
+                return x, f, g
+        s = trial - x
+        x, f, g_prev, g = trial, f_t, g, g_t
+        if g is not None:
+            sy = float(s @ (g - g_prev))
+            t = min(_MAX_STEP * h0, float(s @ s) / -sy) if sy < 0.0 else _MAX_STEP * h0
+    return x, f, g
 
 
-def _manipulator_search(
-    objective, truth: FloatArray, maxv: float, rng: np.random.Generator | None
-) -> tuple[FloatArray, bool]:
-    """Best of five coordinate searches around the truth: from it, then from four random starts."""
+def _manipulator_search(objective, truth: FloatArray, maxv: float, h0: float, rng) -> tuple[FloatArray, bool]:
+    """Best of five ascents in the box truth +- _BOX maxv: from the truth, then four random starts.
+
+    h0 is the inverse curvature of the score term. The result is converged when
+    its projected step is within _CONVERGED of zero; a start whose gradient
+    became unavailable is not.
+    """
     rng = np.random.default_rng(0) if rng is None else rng
-    best_x, best_f, best_conv = truth.copy(), objective(truth), True
+    lo, hi = truth - _BOX * maxv, truth + _BOX * maxv
+    best_x, best_f, best_g = truth.copy(), -math.inf, None
     for s in range(5):
         start = truth.copy() if s == 0 else truth + rng.uniform(-maxv, maxv, size=truth.size)
-        x, fval, conv = _coordinate_search(objective, start, truth, 10.0 * maxv)
-        if fval > best_f:
-            best_x, best_f, best_conv = x, fval, conv
-    return best_x, best_conv
+        x, f, g = _ascent(objective, start, lo, hi, h0)
+        if f > best_f:
+            best_x, best_f, best_g = x, f, g
+    return best_x, best_g is not None and _projected_step(best_x, best_g, h0, lo, hi) <= _CONVERGED
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,10 +306,8 @@ def simulate_efficient_market(
     if manipulator is None:
         return EfficientMarketRun(state=state, bhat=state.final.copy(), manipulated=False, converged=True)
 
-    def objective(bh: FloatArray) -> float:
-        return expected_score(bh, truth, beta) + manipulator.qtm_stage_utility(bh)
-
-    best_x, best_conv = _manipulator_search(objective, truth, manipulator.profile.max_value, rng)
+    objective = _report_objective(manipulator, truth, beta, 1.0, 0.0, 1)
+    best_x, best_conv = _manipulator_search(objective, truth, manipulator.profile.max_value, beta / 2.0, rng)
     state.report(best_x)
     return EfficientMarketRun(state=state, bhat=best_x.copy(), manipulated=True, converged=best_conv)
 
@@ -327,25 +360,19 @@ def optimize_wager_report(
     """
     truth = as_vector(B)
     n = state.n_forecasters
+    if n < 2:
+        raise ValueError("a wagering manipulator needs at least one other forecaster")
+    kappa = 1.0 - 1.0 / n
     others_sum = state.predictions.sum(axis=0) - state.predictions[forecaster]
-
-    def objective(report: FloatArray) -> float:
-        own = (1.0 - 1.0 / n) * expected_score(report, truth, state.beta)
-        bhat = (others_sum + report) / n
-        return own + manipulator.qtm_stage_utility(bhat)
-
-    return _manipulator_search(objective, truth, manipulator.profile.max_value, rng)
+    objective = _report_objective(manipulator, truth, state.beta, kappa, others_sum, n)
+    return _manipulator_search(objective, truth, manipulator.profile.max_value, state.beta / (2.0 * kappa), rng)
 
 
 def _market_score_changes(state: MarketState, model: OutcomeModel) -> FloatArray:
     """(N, m) expected unweighted score changes; variances cancel in the difference."""
-    n = state.n_traders
-    m = state.initial.size
-    out = np.empty((n, m))
-    for t in range(1, n + 1):
-        prev, cur = state.prediction_pair(t)
-        out[t - 1] = (-((cur - model.means) ** 2) + (prev - model.means) ** 2) / state.beta
-    return out
+    cur = np.reshape(state.history, (-1, state.initial.size))
+    prev = np.vstack([state.initial, cur[:-1]])
+    return (-((cur - model.means) ** 2) + (prev - model.means) ** 2) / state.beta
 
 
 def _wager_score_changes(state: WagerState, model: OutcomeModel) -> FloatArray:
@@ -356,32 +383,16 @@ def _wager_score_changes(state: WagerState, model: OutcomeModel) -> FloatArray:
 
 def settlement_transcript(state: MarketState | WagerState, k: int, p, bstar: float) -> list[dict]:
     """One record per trade/wager at the realized settlement: {t, bhat, payoff, k, bstar}."""
-    records = []
     if isinstance(state, MarketState):
-        for t in range(1, state.n_traders + 1):
-            _, cur = state.prediction_pair(t)
-            records.append(
-                {
-                    "t": t,
-                    "bhat": cur.tolist(),
-                    "payoff": market_payoff(t, state, k, p, bstar),
-                    "k": k,
-                    "bstar": bstar,
-                }
-            )
+        reports = state.history
+        payoffs = [market_payoff(t, state, k, p, bstar) for t in range(1, state.n_traders + 1)]
     else:
+        reports = state.predictions
         payoffs = wagering_payoffs(state, k, p, bstar)
-        for t in range(state.n_forecasters):
-            records.append(
-                {
-                    "t": t + 1,
-                    "bhat": state.predictions[t].tolist(),
-                    "payoff": float(payoffs[t]),
-                    "k": k,
-                    "bstar": bstar,
-                }
-            )
-    return records
+    return [
+        {"t": t, "bhat": report.tolist(), "payoff": float(payoff), "k": k, "bstar": bstar}
+        for t, (report, payoff) in enumerate(zip(reports, payoffs), start=1)
+    ]
 
 
 def forced_payment_table(state: MarketState | WagerState, model: OutcomeModel, weighted: bool = True) -> FloatArray:

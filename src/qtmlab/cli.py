@@ -257,6 +257,8 @@ def _sweep_row(args: tuple) -> dict:
 
 
 def cmd_sweep(config: dict, seed: int, out: Path, base: Path, jobs: int) -> int:
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
     kind = config.get("kind", "spread")
     tol = float(config.get("tol", 1e-10))
     tasks: list[tuple] = []

@@ -20,12 +20,10 @@ from .aggregation import (
     OutcomeModel,
     WagerState,
     alternative_independence_check,
-    market_payoff,
     optimize_wager_report,
     settlement_transcript,
     simulate_efficient_market,
     wagering_aggregate,
-    wagering_payoffs,
 )
 from .analysis import BoundReport, bound_squap
 from .core import FloatArray, MechanismParams, ValueProfile, as_vector
@@ -203,40 +201,22 @@ def _aggregation_stage(
     rng: np.random.Generator,
 ) -> tuple[MarketState | WagerState, FloatArray, dict]:
     """Produce the elicited estimates and the settlement state."""
-    flags: dict = {}
-    manip = (
-        ManipulatorContext(profile=profile, agent=config.manipulator, params=params)
-        if config.manipulator is not None
-        else None
-    )
+    manip = None if config.manipulator is None else ManipulatorContext(profile, config.manipulator, params)
     if config.aggregation == "market":
         initial = np.zeros(B.size) if config.initial is None else np.asarray(config.initial, dtype=float)
         run: EfficientMarketRun = simulate_efficient_market(
             B, initial, beta, n_traders=config.n_participants, manipulator=manip, rng=rng
         )
-        if manip is not None and not run.converged:
-            flags["manipulatorConverged"] = False
-        return run.state, run.bhat, flags
-
-    predictions = np.tile(B, (config.n_participants, 1))
-    if manip is not None:
-        state0 = WagerState(beta=beta, predictions=predictions)
-        report, converged = optimize_wager_report(
-            state0, config.n_participants - 1, B, manip, rng=rng
-        )
-        predictions[config.n_participants - 1] = report
-        if not converged:
-            flags["manipulatorConverged"] = False
-    state = WagerState(beta=beta, predictions=predictions)
-    return state, wagering_aggregate(state), flags
-
-
-def _settle_aggregation(state: MarketState | WagerState, chosen: int, p: FloatArray, bstar: float) -> FloatArray:
-    if isinstance(state, MarketState):
-        return np.array(
-            [market_payoff(t, state, chosen, p, bstar) for t in range(1, state.n_traders + 1)]
-        )
-    return wagering_payoffs(state, chosen, p, bstar)
+        state, bhat, converged = run.state, run.bhat, run.converged
+    else:
+        predictions = np.tile(B, (config.n_participants, 1))
+        converged = True
+        if manip is not None:
+            state0 = WagerState(beta=beta, predictions=predictions)
+            predictions[-1], converged = optimize_wager_report(state0, config.n_participants - 1, B, manip, rng=rng)
+        state = WagerState(beta=beta, predictions=predictions)
+        bhat = wagering_aggregate(state)
+    return state, bhat, {} if converged else {"manipulatorConverged": False}
 
 
 def _run_squap(profile: ValueProfile, B, config: SquapConfig, practical: bool) -> SquapRun:
@@ -249,7 +229,10 @@ def _run_squap(profile: ValueProfile, B, config: SquapConfig, practical: bool) -
     params, beta, alpha = _resolve_params(profile, config)
     rng = np.random.default_rng(config.seed)
 
-    state, bhat, flags = _aggregation_stage(profile, truth, beta, params, config, rng)
+    try:
+        state, bhat, flags = _aggregation_stage(profile, truth, beta, params, config, rng)
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
+        raise StageError("aggregation", str(exc)) from exc
 
     try:
         commitment = commit(profile.aggregates, bhat, params)
@@ -265,8 +248,11 @@ def _run_squap(profile: ValueProfile, B, config: SquapConfig, practical: bool) -
     chosen = int(rng.choice(truth.size, p=p))
     model = config.outcome_model(truth)
     bstar = model.sample(chosen, rng)
-    payoffs = _settle_aggregation(state, chosen, p, bstar)
-    transcript = settlement_transcript(state, chosen, p, bstar)
+    try:
+        transcript = settlement_transcript(state, chosen, p, bstar)
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
+        raise StageError("settlement", str(exc)) from exc
+    payoffs = np.array([record["payoff"] for record in transcript])
 
     totals = profile.aggregates + truth
     w1 = float(totals.max())

@@ -138,6 +138,13 @@ def test_sweep_jobs_flag_keeps_bytes(tmp_path):
     assert (out / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_nonpositive_jobs_is_usage_error(tmp_path, jobs):
+    cfg = _write(tmp_path / "sweep.json", {"kind": "spread", "T": [8], "seedsPer": 1})
+    assert main(["sweep", "--config", cfg, "--jobs", jobs, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["generate", "--mode", "measure"], ["solve", "--jobs", "2"]])
 def test_flag_of_another_subcommand_is_usage_error(tmp_path, instance_path, argv):
     cfg = _write(tmp_path / "cfg.json", {"instance": str(instance_path), "generator": {"n": 3}})
@@ -299,6 +306,21 @@ def test_squap_arithmetic_error_in_decision_is_solver_failure(tmp_path, capsys, 
     cfg = _write(tmp_path / "squap.json", {"instance": str(inst), "B": [1.0, 0.25]})
     assert main(["squap", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SOLVER
     assert "stage decision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target, stage",
+    [("qtmlab.aggregation.commit", "aggregation"), ("qtmlab.aggregation.market_payoff", "settlement")],
+)
+def test_squap_arithmetic_error_in_aggregation_or_settlement_is_tagged(tmp_path, capsys, monkeypatch, target, stage):
+    def underflow(*args, **kwargs):
+        raise FloatingPointError("underflow encountered")
+
+    monkeypatch.setattr(target, underflow)
+    inst, _ = _squap_instance(tmp_path)
+    cfg = _write(tmp_path / "squap.json", {"instance": str(inst), "B": [1.0, 0.25], "manipulator": 0})
+    assert main(["squap", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SOLVER
+    assert f"[stage {stage}] underflow encountered" in capsys.readouterr().err
 
 
 def test_invalid_c_is_usage_error(tmp_path, instance_path, capsys):
